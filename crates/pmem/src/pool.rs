@@ -978,6 +978,12 @@ impl PmemPool {
         self.trace.clear();
     }
 
+    /// Makes `tid` the logical thread id of the calling thread's trace
+    /// events on this pool ([`crate::Event::tid`]).
+    pub(crate) fn bind_logical_tid(&self, tid: usize) {
+        self.trace.bind_logical_tid(tid);
+    }
+
     /// Enables/disables the flush lint (see [`crate::lint`]).
     pub fn set_lint_enabled(&self, on: bool) {
         self.lint.set_enabled(on);

@@ -221,11 +221,16 @@ impl ShadowMem {
                 Ordering::Relaxed,
             );
         }
-        // Publishes the snapshot and releases the lock in one store.
-        self.pend_state[line].store(ST_QUEUED, Ordering::Release);
+        // Queue the line *before* releasing it: once the state word reads
+        // queued, a later `pwb` of the line skips the push and its `psync`
+        // relies on the line being on some stack. Pushing after the release
+        // left a window where it was on none, and that fence returned
+        // without committing the newer snapshot (a law-4 regression).
         if s & ST_QUEUED == 0 {
             self.push_pending(line);
         }
+        // Publishes the snapshot and releases the lock in one store.
+        self.pend_state[line].store(ST_QUEUED, Ordering::Release);
     }
 
     /// Commits every pending snapshot to the persisted image (`psync`).

@@ -34,9 +34,12 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    /// Binds thread `tid` to `pool`.
+    /// Binds thread `tid` to `pool`. The calling thread's trace events on
+    /// `pool` are labelled `tid` from here on ([`crate::Event::tid`]), so
+    /// build the context on the thread that uses it.
     pub fn new(pool: Arc<PmemPool>, tid: usize) -> Self {
         let line = pool.recovery_line(tid);
+        pool.bind_logical_tid(tid);
         ThreadCtx {
             pool,
             tid,

@@ -84,9 +84,9 @@ const CELL_WORDS: usize = 4;
 /// Sentinel owner: ring unclaimed.
 const FREE: usize = usize::MAX;
 
-/// Allocator for [`Trace::id`]. Starts at 1 so `trace_id == 0` marks an
-/// empty [`RingCache`]; a `u64` counter never wraps in practice, so an id
-/// is never reused across trace instances.
+/// Allocator for [`Trace::id`] and [`Trace::uid`]. Starts at 1 so
+/// `trace_id == 0` marks an empty [`RingCache`]; a `u64` counter never
+/// wraps in practice, so an id is never reused across trace instances.
 static TRACE_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Per-thread memo of the ring this thread writes in one trace instance.
@@ -102,8 +102,9 @@ struct RingCache {
     buf: *const AtomicU64,
     head: *const AtomicU64,
     mask: usize,
-    /// The owning thread's [`trace_tid`], memoized so a cache hit needs no
-    /// thread-local lookup at all.
+    /// The logical thread id stamped into this thread's events
+    /// ([`logical_tid`]), memoized so a cache hit needs no thread-local
+    /// lookup at all.
     tid: usize,
 }
 
@@ -156,8 +157,30 @@ thread_local! {
     };
 }
 
-/// Process-wide small integer identifying the calling thread in trace
-/// events. Assigned on first use, stable for the thread's lifetime.
+thread_local! {
+    /// The calling thread's logical thread id, keyed by the [`Trace::uid`]
+    /// of the pool it was bound for (see [`Trace::bind_logical_tid`]).
+    static LOGICAL_TID: std::cell::Cell<(u64, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// The logical thread id the calling thread records under in the trace
+/// `uid`: the `tid` of the [`crate::ThreadCtx`] it most recently built for
+/// that pool, or 0 if it built none. Unlike [`trace_tid`] it depends only
+/// on what the thread itself did, never on how many other threads of the
+/// process touched a pool first.
+fn logical_tid(uid: u64) -> usize {
+    match LOGICAL_TID.get() {
+        (bound, tid) if bound == uid => tid,
+        _ => 0,
+    }
+}
+
+/// Process-wide small dense integer identifying the calling thread.
+/// Assigned on first use, stable for the thread's lifetime. It claims trace
+/// rings and indexes the `Stats` shards, the flush-elision slots and the
+/// lint's diagnostics; it is *not* what trace events record (that is the
+/// pool-local [`logical_tid`]), because its value depends on the order in
+/// which the process's threads first touched any pool.
 pub(crate) fn trace_tid() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
@@ -246,7 +269,10 @@ pub struct Event {
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Process-wide trace index of the thread that issued the event.
+    /// Logical id of the issuing thread: the `tid` of the
+    /// [`crate::ThreadCtx`] that thread most recently built for this pool
+    /// (0 for a thread that built none). Deterministic for a deterministic
+    /// workload, whatever else the process runs concurrently.
     pub tid: usize,
     /// Attributed call site, or [`NO_SITE`].
     pub site: u8,
@@ -265,8 +291,7 @@ pub struct Event {
 /// = 512 GiB of pool — far above any configurable pool ([`crate::PoolCfg`]
 /// capacities are process-heap allocations).
 const PACK_ADDR_BITS: u32 = 36;
-/// Trace tids above this saturate in recorded events (the ring claim still
-/// uses the real tid). 65535 concurrently attributable threads is far
+/// Logical tids above this saturate in recorded events. 65535 concurrently attributable threads is far
 /// beyond any in-tree harness; saturation only blurs *labels*, never
 /// ordering or safety.
 const PACK_TID_MAX: usize = (1 << 16) - 1;
@@ -327,7 +352,7 @@ impl TraceSnapshot {
 /// One single-writer ring: claimed by a thread on first record, written
 /// only by that thread, read by snapshotters.
 struct Ring {
-    /// Claiming thread's trace tid, or [`FREE`].
+    /// Claiming thread's [`trace_tid`], or [`FREE`].
     owner: AtomicUsize,
     /// Entries ever pushed by the owner (monotone within a claim; reset
     /// only by a quiescent [`Trace::clear`]).
@@ -362,6 +387,9 @@ pub(crate) struct Trace {
     /// [`Trace::clear`], which thereby invalidates every outstanding memo
     /// (clears release ring claims).
     id: AtomicU64,
+    /// Stable unique id of this trace instance (unlike `id`, never
+    /// re-drawn): the key of a thread's [`LOGICAL_TID`] binding.
+    uid: u64,
 }
 
 impl Trace {
@@ -380,7 +408,20 @@ impl Trace {
                 })
                 .collect(),
             id: AtomicU64::new(TRACE_IDS.fetch_add(1, Ordering::Relaxed)),
+            uid: TRACE_IDS.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// Makes `tid` the logical thread id the calling thread's events carry
+    /// in this trace ([`Event::tid`]). Called by [`crate::ThreadCtx::new`].
+    /// Drops the thread's ring memo so a record that was memoized under the
+    /// previous binding re-resolves its label.
+    pub(crate) fn bind_logical_tid(&self, tid: usize) {
+        LOGICAL_TID.set((self.uid, tid));
+        RING_CACHE.set(RingCache {
+            trace_id: 0,
+            ..RING_CACHE.get()
+        });
     }
 
     #[inline]
@@ -478,7 +519,7 @@ impl Trace {
     }
 
     /// Appends an event to the calling thread's ring (bounded, lock-free).
-    /// The issuing thread's [`trace_tid`] is resolved internally (memoized
+    /// The issuing thread's [`logical_tid`] is resolved internally (memoized
     /// in the ring cache, so the steady state pays no thread-local lookup).
     #[inline]
     pub(crate) fn record(&self, seq: u64, kind: EventKind, site: u8, addr: u64, dirty: bool) {
@@ -507,15 +548,15 @@ impl Trace {
         self.record_uncached(seq, kind, site, addr, dirty);
     }
 
-    /// Cache-miss record: resolves the calling thread's tid and ring,
-    /// refills the thread-local cache, and writes the cell through the safe
-    /// indexed path.
+    /// Cache-miss record: resolves the calling thread's logical tid and
+    /// ring, refills the thread-local cache, and writes the cell through the
+    /// safe indexed path.
     #[cold]
     fn record_uncached(&self, seq: u64, kind: EventKind, site: u8, addr: u64, dirty: bool) {
-        let tid = trace_tid();
+        let tid = logical_tid(self.uid);
         let packed = pack_cell(addr, kind, site, dirty, tid);
         let id = self.id.load(Ordering::Relaxed);
-        let ring = &self.rings[self.ring_idx(tid)];
+        let ring = &self.rings[self.ring_idx(trace_tid())];
         let buf = ring.buf(self.ring_slots);
         RING_CACHE.set(RingCache {
             trace_id: id,

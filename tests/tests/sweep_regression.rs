@@ -210,6 +210,30 @@ fn flushopt_off_streams_are_bit_identical_to_pr8() {
     );
 }
 
+/// Trace events name the logical thread (the `ThreadCtx` tid), not an
+/// ordinal of the OS threads the process has traced so far: a stream
+/// recorded after another thread already traced on a different pool still
+/// hashes to the pin.
+#[test]
+fn stream_pin_ignores_earlier_tracing_threads() {
+    use pmem::{PmemPool, PoolCfg};
+    std::thread::spawn(|| {
+        let pool = PmemPool::new(PoolCfg {
+            trace: true,
+            ..PoolCfg::model(1 << 20)
+        });
+        let a = pool.alloc_lines(1);
+        pool.store(a, 1);
+        assert_eq!(pool.trace_snapshot().total(), 1);
+    })
+    .join()
+    .unwrap();
+    let hash = std::thread::spawn(|| pinned_stream(AlgoKind::Tracking, false))
+        .join()
+        .unwrap();
+    assert_eq!(hash, TRACKING_PR8_STREAM_HASH);
+}
+
 const TRACKING_PR8_STREAM_HASH: u64 = 1931165606446196522;
 const CAPSULES_PR8_STREAM_HASH: u64 = 16994248641333252118;
 
