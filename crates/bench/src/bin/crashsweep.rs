@@ -44,121 +44,47 @@
 //! structure × algorithm pair is written under `--out`; the first failing
 //! point (if any) is minimized and its final trace window printed.
 
-use bench::sweep::{run_palloc_sweep, run_sweep, AdversaryKind, SweepCfg, SweepReport};
+use bench::case::{number, usage_error, Cli};
+use bench::sweep::{run_palloc_sweep, run_sweep, SweepCfg, SweepReport};
 use bench::{AlgoKind, StructureKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut structures: Vec<StructureKind> = StructureKind::all().to_vec();
-    let mut algo: Option<AlgoKind> = None;
     let mut base = SweepCfg::new(StructureKind::List, AlgoKind::Tracking);
-    let mut out = std::path::PathBuf::from("results/crashsweep");
     let (mut churn, mut palloc_only, mut smoke) = (false, false, false);
-    let mut structures_named = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--structure" => {
-                i += 1;
-                structures_named = true;
-                structures = match args[i].as_str() {
-                    "all" => StructureKind::all().to_vec(),
-                    s => vec![StructureKind::parse(s).unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown structure '{s}' (list|bst|queue|stack|exchanger|hashmap|all)"
-                        );
-                        std::process::exit(2);
-                    })],
-                };
-            }
-            "--algo" => {
-                i += 1;
-                algo = match args[i].as_str() {
-                    "all" => None,
-                    s => Some(AlgoKind::parse(s).unwrap_or_else(|| {
-                        eprintln!("unknown algorithm '{s}'");
-                        std::process::exit(2);
-                    })),
-                };
-            }
-            "--shard" => {
-                i += 1;
-                let (idx, cnt) = args[i].split_once('/').unwrap_or_else(|| {
-                    eprintln!("--shard expects I/N, e.g. --shard 0/4");
-                    std::process::exit(2);
-                });
-                base.shard_index = idx.parse().expect("bad shard index");
-                base.shard_count = cnt.parse().expect("bad shard count");
-                assert!(
-                    base.shard_count > 0 && base.shard_index < base.shard_count,
-                    "shard index must be in [0, N)"
-                );
-            }
-            "--sample" => {
-                i += 1;
-                base.sample = args[i].parse().expect("bad sample probability");
-                assert!(
-                    (0.0..=1.0).contains(&base.sample),
-                    "sample must be in [0, 1]"
-                );
-            }
-            "--adversary" => {
-                i += 1;
-                base.adversary = AdversaryKind::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("unknown adversary '{}' (pessimist|seeded)", args[i]);
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                i += 1;
-                base.seed = args[i].parse().expect("bad seed");
-            }
-            "--ops" => {
-                i += 1;
-                base.script_len = args[i].parse().expect("bad script length");
-            }
-            "--pool-mb" => {
-                i += 1;
-                base.pool_bytes = args[i].parse::<usize>().expect("bad pool size") << 20;
-            }
+    let probability = |v: String, what: &str| -> f64 {
+        let p = number(&v, what);
+        if !(0.0..=1.0).contains(&p) {
+            usage_error(&format!("{what} must be in [0, 1]"));
+        }
+        p
+    };
+    let mut cli = Cli::parse("results/crashsweep", |flag, value| {
+        match flag {
+            "--sample" => base.sample = probability(value(), "sample probability"),
             "--engine" => {
-                i += 1;
-                base.checkpoint = match args[i].as_str() {
+                base.checkpoint = match value().as_str() {
                     "checkpoint" => true,
                     "scratch" => false,
-                    e => {
-                        eprintln!("unknown engine '{e}' (checkpoint|scratch)");
-                        std::process::exit(2);
-                    }
-                };
+                    e => usage_error(&format!("unknown engine '{e}' (checkpoint|scratch)")),
+                }
             }
-            "--paranoia" => {
-                i += 1;
-                base.paranoia = args[i].parse().expect("bad paranoia probability");
-                assert!(
-                    (0.0..=1.0).contains(&base.paranoia),
-                    "paranoia must be in [0, 1]"
-                );
-            }
-            "--multi-crash" => {
-                i += 1;
-                base.multi_crash = args[i].parse().expect("bad multi-crash count");
-            }
+            "--paranoia" => base.paranoia = probability(value(), "paranoia probability"),
+            "--multi-crash" => base.multi_crash = number(&value(), "multi-crash count"),
             "--churn" => churn = true,
             "--palloc" => palloc_only = true,
-            "--flushopt" => base.flushopt = true,
             "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args[i].clone().into();
-            }
-            flag => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            _ => return false,
         }
-        i += 1;
+        true
+    });
+    if let Some((index, count)) = cli.shard {
+        (base.shard_index, base.shard_count) = (index, count);
     }
+    base.adversary = cli.adversary.unwrap_or(base.adversary);
+    base.seed = cli.seed.unwrap_or(base.seed);
+    base.script_len = cli.ops.unwrap_or(base.script_len);
+    base.pool_bytes = cli.pool_bytes.unwrap_or(base.pool_bytes);
+    base.flushopt = cli.flushopt;
 
     if smoke {
         // CI tier: churn matrix over the pairs that actually retire nodes,
@@ -167,8 +93,8 @@ fn main() {
         churn = true;
         base.script_len = base.script_len.min(8);
         base.sample = base.sample.min(0.25);
-        if !structures_named {
-            structures = vec![
+        if !cli.structures_named {
+            cli.structures = vec![
                 StructureKind::List,
                 StructureKind::Queue,
                 StructureKind::Stack,
@@ -176,49 +102,23 @@ fn main() {
             ];
         }
     }
-    if churn || palloc_only {
-        base.reclaim = true;
-    }
-
-    let mut pairs: Vec<(StructureKind, AlgoKind)> = Vec::new();
-    if smoke && algo.is_none() && !structures_named {
+    let pairs = if smoke && cli.algo.is_none() && !cli.structures_named {
         // Only the pairs that actually retire nodes on a reclaim pool.
-        pairs = vec![
+        vec![
             (StructureKind::List, AlgoKind::Tracking),
             (StructureKind::List, AlgoKind::Capsules),
             (StructureKind::List, AlgoKind::CapsulesOpt),
             (StructureKind::Queue, AlgoKind::Tracking),
             (StructureKind::Stack, AlgoKind::Tracking),
             (StructureKind::Hashmap, AlgoKind::Tracking),
-        ];
-    }
-    if pairs.is_empty() {
-        for s in &structures {
-            match (s, algo) {
-                // An explicit --algo narrows the list lineup; the other shapes
-                // exist only as Tracking structures, so the explicit algo must
-                // match their lineup or the pair is skipped (with a note when
-                // it was named explicitly).
-                (StructureKind::List, Some(a)) => pairs.push((*s, a)),
-                (_, Some(a)) if s.lineup().contains(&a) => pairs.push((*s, a)),
-                (_, Some(a)) => {
-                    if structures.len() == 1 {
-                        eprintln!(
-                            "{} has no {} implementation (available: {})",
-                            s.name(),
-                            a.name(),
-                            s.lineup()
-                                .iter()
-                                .map(|a| a.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-                (_, None) => pairs.extend(s.lineup().into_iter().map(|a| (*s, a))),
-            }
-        }
+        ]
+    } else {
+        // An explicit --algo narrows the list lineup; the other shapes
+        // exist only as Tracking structures, so there it must match.
+        cli.pairs(StructureKind::lineup, true)
+    };
+    if churn || palloc_only {
+        base.reclaim = true;
     }
 
     println!(
@@ -237,30 +137,29 @@ fn main() {
     let mut failed = false;
     let engine_start = std::time::Instant::now();
     let (mut total_points, mut total_paranoia) = (0u64, 0u64);
-    let mut emit = |report: SweepReport, failed: &mut bool| {
+    let mut emit = |report: SweepReport| {
         println!("{}", report.summary());
-        let path = report.csv.write(&out).expect("writing CSV");
+        let path = report.csv.write(&cli.out).expect("writing CSV");
         println!("  -> {}", path.display());
         if let Some(f) = &report.first_failure {
             print!("{}", f.render());
         }
         total_points += report.points_run;
         total_paranoia += report.paranoia_checked;
-        *failed |= !report.ok();
+        failed |= !report.ok();
     };
     if !palloc_only {
         for (structure, algo) in pairs {
-            let cfg = SweepCfg {
+            emit(run_sweep(&SweepCfg {
                 structure,
                 algo,
                 ..base.clone()
-            };
-            emit(run_sweep(&cfg), &mut failed);
+            }));
         }
     }
     if churn || palloc_only {
         // The allocator's own crash sweep rides along with every churn run.
-        emit(run_palloc_sweep(&base), &mut failed);
+        emit(run_palloc_sweep(&base));
     }
     // Engine-only wall clock (excludes process startup/compilation noise) —
     // the number the A/B `--engine` timing comparison records.

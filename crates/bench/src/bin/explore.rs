@@ -29,124 +29,50 @@
 //! non-linearizable history (or a schedule replay diverged). One CSV per
 //! structure × algorithm pair is written under `--out`.
 
+use bench::case::{number, usage_error, Cli};
 use bench::explore::{run_explore, CrashMode, ExploreCfg, StrategyKind};
-use bench::sweep::AdversaryKind;
 use bench::{AlgoKind, StructureKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut structures: Vec<StructureKind> = StructureKind::all().to_vec();
-    let mut algo: Option<AlgoKind> = None;
     let mut base = ExploreCfg::new(StructureKind::List, AlgoKind::Tracking);
     let mut crash_samples = 2u64;
     let mut crash_on = true;
-    let mut out = std::path::PathBuf::from("results/explore");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--structure" => {
-                i += 1;
-                structures = match args[i].as_str() {
-                    "all" => StructureKind::all().to_vec(),
-                    s => vec![StructureKind::parse(s).unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown structure '{s}' (list|bst|queue|stack|exchanger|hashmap|all)"
-                        );
-                        std::process::exit(2);
-                    })],
-                };
-            }
-            "--algo" => {
-                i += 1;
-                algo = match args[i].as_str() {
-                    "all" => None,
-                    s => Some(AlgoKind::parse(s).unwrap_or_else(|| {
-                        eprintln!("unknown algorithm '{s}'");
-                        std::process::exit(2);
-                    })),
-                };
-            }
-            "--threads" => {
-                i += 1;
-                base.threads = args[i].parse().expect("bad thread count");
-            }
-            "--ops" => {
-                i += 1;
-                base.ops_per_thread = args[i].parse().expect("bad ops count");
-            }
-            "--schedules" => {
-                i += 1;
-                base.schedules = args[i].parse().expect("bad schedule count");
-            }
+    let cli = Cli::parse("results/explore", |flag, value| {
+        match flag {
+            "--threads" => base.threads = number(&value(), "thread count"),
+            "--schedules" => base.schedules = number(&value(), "schedule count"),
             "--strategy" => {
-                i += 1;
-                base.strategies = match args[i].as_str() {
+                base.strategies = match value().as_str() {
                     "all" => StrategyKind::all().to_vec(),
                     s => vec![StrategyKind::parse(s).unwrap_or_else(|| {
-                        eprintln!("unknown strategy '{s}' (rr|random|pct|all)");
-                        std::process::exit(2);
+                        usage_error(&format!("unknown strategy '{s}' (rr|random|pct|all)"))
                     })],
-                };
+                }
             }
             "--crash" => {
-                i += 1;
-                crash_on = match args[i].as_str() {
+                crash_on = match value().as_str() {
                     "off" => false,
                     "sampled" => true,
-                    c => {
-                        eprintln!("unknown crash mode '{c}' (off|sampled)");
-                        std::process::exit(2);
-                    }
-                };
+                    c => usage_error(&format!("unknown crash mode '{c}' (off|sampled)")),
+                }
             }
-            "--crash-samples" => {
-                i += 1;
-                crash_samples = args[i].parse().expect("bad crash sample count");
-            }
-            "--adversary" => {
-                i += 1;
-                base.adversary = AdversaryKind::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("unknown adversary '{}' (pessimist|seeded)", args[i]);
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                i += 1;
-                base.seed = args[i].parse().expect("bad seed");
-            }
-            "--shard" => {
-                i += 1;
-                let (idx, cnt) = args[i].split_once('/').unwrap_or_else(|| {
-                    eprintln!("--shard expects I/N, e.g. --shard 0/4");
-                    std::process::exit(2);
-                });
-                base.shard_index = idx.parse().expect("bad shard index");
-                base.shard_count = cnt.parse().expect("bad shard count");
-                assert!(
-                    base.shard_count > 0 && base.shard_index < base.shard_count,
-                    "shard index must be in [0, N)"
-                );
-            }
-            "--pool-mb" => {
-                i += 1;
-                base.pool_bytes = args[i].parse::<usize>().expect("bad pool size") << 20;
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone().into();
-            }
-            "--flushopt" => base.flushopt = true,
+            "--crash-samples" => crash_samples = number(&value(), "crash sample count"),
             "--smoke" => {
                 base.schedules = 1;
                 crash_samples = 1;
             }
-            flag => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            _ => return false,
         }
-        i += 1;
+        true
+    });
+    if let Some((index, count)) = cli.shard {
+        (base.shard_index, base.shard_count) = (index, count);
     }
+    base.adversary = cli.adversary.unwrap_or(base.adversary);
+    base.seed = cli.seed.unwrap_or(base.seed);
+    base.ops_per_thread = cli.ops.unwrap_or(base.ops_per_thread);
+    base.pool_bytes = cli.pool_bytes.unwrap_or(base.pool_bytes);
+    base.flushopt = cli.flushopt;
     base.crash = if crash_on {
         CrashMode::Sampled {
             per_schedule: crash_samples,
@@ -154,36 +80,13 @@ fn main() {
     } else {
         CrashMode::Off
     };
-
-    let mut pairs: Vec<(StructureKind, AlgoKind)> = Vec::new();
-    for s in &structures {
-        match algo {
-            Some(a) if !a.schedulable() => {
-                eprintln!(
-                    "{} cannot run under the cooperative scheduler (blocking design)",
-                    a.name()
-                );
-                std::process::exit(2);
-            }
-            Some(a) if s.explore_lineup().contains(&a) => pairs.push((*s, a)),
-            Some(a) => {
-                if structures.len() == 1 {
-                    eprintln!(
-                        "{} has no {} implementation (available: {})",
-                        s.name(),
-                        a.name(),
-                        s.explore_lineup()
-                            .iter()
-                            .map(|a| a.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    std::process::exit(2);
-                }
-            }
-            None => pairs.extend(s.explore_lineup().into_iter().map(|a| (*s, a))),
-        }
+    if let Some(a) = cli.algo.filter(|a| !a.schedulable()) {
+        usage_error(&format!(
+            "{} cannot run under the cooperative scheduler (blocking design)",
+            a.name()
+        ));
     }
+    let pairs = cli.pairs(StructureKind::explore_lineup, false);
 
     println!(
         "schedule explorer: {} pair(s), threads={}, ops/thread={}, schedules={}/strategy, \
@@ -218,7 +121,7 @@ fn main() {
         };
         let report = run_explore(&cfg);
         println!("{}", report.summary());
-        let path = report.csv.write(&out).expect("writing CSV");
+        let path = report.csv.write(&cli.out).expect("writing CSV");
         println!("  -> {}", path.display());
         for v in &report.violations {
             println!(

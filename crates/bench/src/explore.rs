@@ -41,7 +41,9 @@
 //! entry point (sequentially, as a restarted system would), and feeds all
 //! completed + recovered operations with their original invocation stamps
 //! to the structure subject's concurrent verdict
-//! (`sweep::CrashSubject::concurrent_verdict`).
+//! (`case::CrashSubject::concurrent_verdict`). Pool, subject and
+//! per-thread scripts come from the case factory the crash sweep shares
+//! ([`crate::case`]).
 //!
 //! ## Strategies
 //!
@@ -80,17 +82,16 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use linearize::{MapOp, QueueOp, SetOp, Spec, StackOp};
-use pmem::{run_crashable, PmemPool, PoolCfg, PoolSnapshot, SiteId, ThreadCtx};
-use tracking::{RecoverableExchanger, RecoverableHashMap, RecoverableQueue, RecoverableStack};
+use linearize::Spec;
+use pmem::{run_crashable, PmemPool, PoolSnapshot, SiteId, ThreadCtx};
 
-use crate::adapter::{build, AlgoKind, StructureKind};
-use crate::csv::Csv;
-use crate::sweep::{
-    csv_escape, file_slug, splitmix64, AdversaryKind, CombQueueSubject, CombStackSubject,
-    CompletedOp, CrashSubject, ExchangerSubject, HashmapSubject, QueueSubject, Rng, SetSubject,
-    StackSubject, HASHMAP_SWEEP_CFG, MAP_KEYS, SET_KEYS,
+use crate::adapter::{AlgoKind, StructureKind};
+use crate::case::{
+    build_case, exhaustion, recover, splitmix64, CaseCfg, CaseVisitor, CompletedOp, CrashSubject,
+    Op, Plan, Rng, SET_KEYS,
 };
+use crate::csv::Csv;
+use crate::sweep::{csv_escape, file_slug, AdversaryKind};
 
 // --------------------------------------------------------------- strategies
 
@@ -373,21 +374,7 @@ impl Sched {
             let st = &mut *st;
             st.strategy.pick(&st.alive, st.events)
         };
-        if next != me {
-            st.granted = next;
-            self.cv.notify_all();
-            while st.granted != me {
-                if st.abort {
-                    drop(st);
-                    panic!("schedule explorer aborted");
-                }
-                st = self.wait(st);
-            }
-        }
-        if st.abort {
-            drop(st);
-            panic!("schedule explorer aborted");
-        }
+        let mut st = self.pass_turn(st, me, next);
         st.events += 1;
         if st.events >= st.fuel {
             st.abort = true;
@@ -435,14 +422,21 @@ impl Sched {
             st.strategy.demote(me);
             st.strategy.pick(&st.alive, st.events)
         };
+        drop(self.pass_turn(st, me, next));
+    }
+
+    /// Hands the turn to `next` (unless that is `me`) and blocks until it
+    /// comes back; panics if the exploration aborted meanwhile.
+    fn pass_turn<'a>(
+        &self,
+        mut st: std::sync::MutexGuard<'a, SchedSt>,
+        me: usize,
+        next: usize,
+    ) -> std::sync::MutexGuard<'a, SchedSt> {
         if next != me {
             st.granted = next;
             self.cv.notify_all();
-            while st.granted != me {
-                if st.abort {
-                    drop(st);
-                    panic!("schedule explorer aborted");
-                }
+            while st.granted != me && !st.abort {
                 st = self.wait(st);
             }
         }
@@ -450,6 +444,7 @@ impl Sched {
             drop(st);
             panic!("schedule explorer aborted");
         }
+        st
     }
 
     /// Removes the worker from the schedule (script finished or crash
@@ -627,89 +622,6 @@ impl ExploreReport {
     }
 }
 
-// ----------------------------------------------------------------- scripts
-
-/// Per-thread set script over the shared key universe — shared keys are the
-/// point: conflicting inserts/deletes of the same key on different threads
-/// are what the linearizability check bites on.
-fn set_script_for(seed: u64, t: usize, len: usize) -> Vec<SetOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0xA5A5_1234)) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % SET_KEYS + 1;
-            match (r >> 32) % 8 {
-                0..=3 => SetOp::Insert(key),
-                4..=6 => SetOp::Delete(key),
-                _ => SetOp::Find(key),
-            }
-        })
-        .collect()
-}
-
-/// Per-thread queue script. Values are unique across threads (thread `t`
-/// enqueues from base `(t+1)·1000`) so the checker can tell whose element a
-/// dequeue observed.
-fn queue_script_for(seed: u64, t: usize, len: usize) -> Vec<QueueOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0x5EED_4321)) | 1);
-    let mut next = (t as u64 + 1) * 1000;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                QueueOp::Enqueue(next)
-            } else {
-                QueueOp::Dequeue
-            }
-        })
-        .collect()
-}
-
-/// Per-thread stack script; same unique-value scheme as the queue.
-fn stack_script_for(seed: u64, t: usize, len: usize) -> Vec<StackOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0x57AC_8765)) | 1);
-    let mut next = (t as u64 + 1) * 1000;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                StackOp::Push(next)
-            } else {
-                StackOp::Pop
-            }
-        })
-        .collect()
-}
-
-/// Per-thread exchanger script: each op offers a globally unique value, so
-/// the pairing oracle's partner map is well-defined.
-fn exchange_script_for(t: usize, len: usize) -> Vec<u64> {
-    (0..len as u64).map(|i| (t as u64 + 1) * 1000 + i).collect()
-}
-
-/// Per-thread hashmap script. Thread 0 is put-heavy over the shared key
-/// universe (driving chains past the resize trigger), the others mix
-/// puts/removes/gets on the same keys — so resizes race bucket operations
-/// and other resizes, the schedules the hashmap exists to survive.
-fn map_script_for(seed: u64, t: usize, len: usize) -> Vec<MapOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0x4A5F_9876)) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % MAP_KEYS + 1;
-            if t == 0 {
-                MapOp::Put(key, (r >> 40) % 90 + 100)
-            } else {
-                match (r >> 32) % 8 {
-                    0..=3 => MapOp::Put(key, (r >> 40) % 90 + 200),
-                    4..=6 => MapOp::Remove(key),
-                    _ => MapOp::Get(key),
-                }
-            }
-        })
-        .collect()
-}
-
 // ------------------------------------------------------------------ engine
 
 /// What a worker knows about its crash-interrupted operation, harvested
@@ -748,7 +660,7 @@ fn worker_body<Sub: CrashSubject>(
     clock: &AtomicU64,
     sub: &Sub,
     ctx: &ThreadCtx,
-    script: &[<Sub::S as Spec>::Op],
+    script: &[Op<Sub>],
 ) -> WorkerOut<Sub::S> {
     let hook_sched = sched.clone();
     pmem::set_yield_hook(Box::new(move || hook_sched.yield_point(me)));
@@ -816,23 +728,6 @@ fn worker_body<Sub: CrashSubject>(
     }
 }
 
-/// Object-safe face of one generic [`ExpRunner`].
-trait ExpCase {
-    /// Executes one schedule, crash-free (`crash_k == None`) or with a
-    /// crash armed at event `crash_k`. `horizon` bounds PCT change points;
-    /// the driver fixes it once (from a calibration run) so a crash replay
-    /// constructs the *identical* strategy as the crash-free run it
-    /// replays.
-    fn run_one(
-        &self,
-        cfg: &ExploreCfg,
-        strategy: StrategyKind,
-        schedule: u64,
-        crash_k: Option<u64>,
-        horizon: u64,
-    ) -> RunOutcome;
-}
-
 /// The attach-once exploration context: pool, subject, and per-thread
 /// contexts are built once; every schedule run rewinds the pool to the
 /// `base` snapshot ([`PmemPool::restore`] re-arms the crash model and
@@ -841,42 +736,44 @@ struct ExpRunner<Sub: CrashSubject> {
     pool: Arc<PmemPool>,
     sub: Sub,
     ctxs: Vec<ThreadCtx>,
-    scripts: Vec<Vec<<Sub::S as Spec>::Op>>,
+    scripts: Vec<Vec<Op<Sub>>>,
     base: PoolSnapshot,
 }
 
-impl<Sub> ExpRunner<Sub>
-where
-    Sub: CrashSubject + Sync,
-    <Sub::S as Spec>::Op: Send + Sync,
-    <Sub::S as Spec>::Ret: Send,
-{
-    fn new(
-        pool: Arc<PmemPool>,
-        sub: Sub,
-        threads: usize,
-        scripts: Vec<Vec<<Sub::S as Spec>::Op>>,
-    ) -> Self {
-        let ctxs = (0..threads)
+/// The explorer's side of [`build_case`]: one dark pool, one runner over
+/// the per-thread scripts, explored as `cfg` says.
+struct Explore<'a>(&'a ExploreCfg);
+
+impl CaseVisitor for Explore<'_> {
+    type Out = ExploreReport;
+
+    fn visit<Sub: CrashSubject>(
+        self,
+        scripts: Vec<Vec<Op<Sub>>>,
+        build: impl Fn(bool) -> (Arc<PmemPool>, Sub) + 'static,
+    ) -> ExploreReport {
+        let (pool, sub) = build(false);
+        let ctxs = (0..scripts.len())
             .map(|t| ThreadCtx::new(pool.clone(), t))
             .collect();
         let base = pool.snapshot();
-        ExpRunner {
+        let runner = ExpRunner {
             pool,
             sub,
             ctxs,
             scripts,
             base,
-        }
+        };
+        runner.explore(self.0)
     }
 }
 
-impl<Sub> ExpCase for ExpRunner<Sub>
-where
-    Sub: CrashSubject + Sync,
-    <Sub::S as Spec>::Op: Send + Sync,
-    <Sub::S as Spec>::Ret: Send,
-{
+impl<Sub: CrashSubject> ExpRunner<Sub> {
+    /// Executes one schedule, crash-free (`crash_k == None`) or with a
+    /// crash armed at event `crash_k`. `horizon` bounds PCT change points;
+    /// the driver fixes it once (from a calibration run) so a crash replay
+    /// constructs the *identical* strategy as the crash-free run it
+    /// replays.
     fn run_one(
         &self,
         cfg: &ExploreCfg,
@@ -940,9 +837,7 @@ where
             worker_panic = outs.iter_mut().find_map(|o| o.panic.take());
         }
         if let Some(p) = worker_panic {
-            let Some(msg) = pmem::exhaustion_message(p.as_ref()) else {
-                std::panic::resume_unwind(p);
-            };
+            let msg = exhaustion(p);
             return RunOutcome {
                 strategy,
                 schedule,
@@ -1001,27 +896,22 @@ where
             self.pool
                 .crash(&mut *cfg.adversary.instantiate(k, cfg.seed));
             self.pool.set_crash_model_dormant(true);
-            // Allocator recovery first, as a restarted system would order
-            // it: per-thread structure recovery below may allocate and must
-            // not see a half-linked free list (no-op on bump pools).
-            self.pool.recover_allocator();
-            self.sub.recover_structure();
-            for (tid, c) in &crashed {
-                let ctx = &self.ctxs[*tid];
-                let op = &self.scripts[*tid][c.op_index];
-                let ret = if c.past_prologue {
-                    self.sub.recover(ctx, op)
-                } else {
-                    ctx.begin_op(SiteId(0));
-                    self.sub.exec(ctx, op)
-                };
-                let res = clock.fetch_add(1, Ordering::Relaxed);
+            let past_prologue: Vec<_> = crashed
+                .iter()
+                .map(|(_, c)| Cell::new(c.past_prologue))
+                .collect();
+            let interrupted = crashed
+                .iter()
+                .zip(&past_prologue)
+                .map(|((tid, c), pp)| (&self.ctxs[*tid], &self.scripts[*tid][c.op_index], pp));
+            let rets = recover(&self.pool, &self.sub, interrupted);
+            for ((tid, c), ret) in crashed.iter().zip(rets) {
                 recorded.push(CompletedOp {
                     tid: *tid,
-                    op: op.clone(),
+                    op: self.scripts[*tid][c.op_index].clone(),
                     ret,
                     inv: c.inv,
-                    res,
+                    res: clock.fetch_add(1, Ordering::Relaxed),
                 });
             }
             outcome.ops_recorded = recorded.len();
@@ -1044,57 +934,93 @@ where
         }
         outcome
     }
-}
 
-fn make_case(cfg: &ExploreCfg) -> Box<dyn ExpCase> {
-    let pool = Arc::new(PmemPool::new(PoolCfg {
-        reclaim: cfg.reclaim,
-        flushopt: cfg.flushopt,
-        ..PoolCfg::model(cfg.pool_bytes)
-    }));
-    let (n, len, seed) = (cfg.threads, cfg.ops_per_thread, cfg.seed);
-    match cfg.structure {
-        StructureKind::List | StructureKind::Bst => {
-            let algo = build(cfg.algo, pool.clone(), n, SET_KEYS + 4);
-            pool.register_site_names(algo.sites());
-            let scripts = (0..n).map(|t| set_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, SetSubject { algo }, n, scripts))
+    /// The exploration matrix: every (strategy, schedule) cell of this
+    /// shard, crash-free and then at its sampled crash points.
+    fn explore(&self, cfg: &ExploreCfg) -> ExploreReport {
+        // Calibrate the PCT horizon with one throwaway crash-free round-robin
+        // run (also a cheap end-to-end smoke of the pair before the matrix).
+        // Fixed once for the whole exploration: a crash replay must construct
+        // the identical strategy as the crash-free run it replays, and shards
+        // must generate the same schedules as an unsharded run.
+        let horizon = self
+            .run_one(cfg, StrategyKind::RoundRobin, 0, None, 0)
+            .events;
+
+        let mut csv = Csv::new(
+            &format!(
+                "explore_{}{}_{}_t{}",
+                if cfg.reclaim { "churn_" } else { "" },
+                cfg.structure.name(),
+                file_slug(cfg.algo.name()),
+                cfg.threads
+            ),
+            &[
+                "strategy",
+                "schedule",
+                "threads",
+                "crash_k",
+                "events",
+                "ops_recorded",
+                "crashed_threads",
+                "ok",
+                "note",
+            ],
+        );
+        let mut violations = Vec::new();
+        let (mut runs, mut runs_skipped, mut crash_runs, mut total_events) =
+            (0u64, 0u64, 0u64, 0u64);
+        let record = |csv: &mut Csv, r: &RunOutcome, violations: &mut Vec<RunOutcome>| {
+            csv.push(&[
+                r.strategy.name().to_string(),
+                r.schedule.to_string(),
+                cfg.threads.to_string(),
+                r.crash_k.map(|k| k.to_string()).unwrap_or_default(),
+                r.events.to_string(),
+                r.ops_recorded.to_string(),
+                r.crashed_threads.to_string(),
+                r.ok.to_string(),
+                csv_escape(&r.note),
+            ]);
+            if !r.ok {
+                violations.push(r.clone());
+            }
+        };
+
+        for (si, &strategy) in cfg.strategies.iter().enumerate() {
+            for schedule in 0..cfg.schedules {
+                let grid_index = si as u64 * cfg.schedules + schedule;
+                if cfg.shard_count > 1 && grid_index % cfg.shard_count != cfg.shard_index {
+                    runs_skipped += 1;
+                    continue;
+                }
+                let free = self.run_one(cfg, strategy, schedule, None, horizon);
+                runs += 1;
+                total_events += free.events;
+                let clean = free.ok;
+                let events = free.events;
+                record(&mut csv, &free, &mut violations);
+                if let CrashMode::Sampled { per_schedule } = cfg.crash {
+                    if clean {
+                        for k in crash_points(cfg.seed, strategy, schedule, events, per_schedule) {
+                            let r = self.run_one(cfg, strategy, schedule, Some(k), horizon);
+                            crash_runs += 1;
+                            total_events += r.events;
+                            record(&mut csv, &r, &mut violations);
+                        }
+                    }
+                }
+            }
         }
-        StructureKind::Queue if cfg.algo == AlgoKind::TrackingComb => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let q = tracking::CombiningQueue::new(pool.clone(), 0, n);
-            let scripts = (0..n).map(|t| queue_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, CombQueueSubject { q }, n, scripts))
-        }
-        StructureKind::Queue => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let q = RecoverableQueue::new(pool.clone(), 0);
-            let scripts = (0..n).map(|t| queue_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, QueueSubject { q }, n, scripts))
-        }
-        StructureKind::Stack if cfg.algo == AlgoKind::TrackingComb => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let s = tracking::CombiningStack::new(pool.clone(), 0, n);
-            let scripts = (0..n).map(|t| stack_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, CombStackSubject { s }, n, scripts))
-        }
-        StructureKind::Stack => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let s = RecoverableStack::new(pool.clone(), 0);
-            let scripts = (0..n).map(|t| stack_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, StackSubject { s }, n, scripts))
-        }
-        StructureKind::Exchanger => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let x = RecoverableExchanger::new(pool.clone(), 0);
-            let scripts = (0..n).map(|t| exchange_script_for(t, len)).collect();
-            Box::new(ExpRunner::new(pool, ExchangerSubject { x }, n, scripts))
-        }
-        StructureKind::Hashmap => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
-            let scripts = (0..n).map(|t| map_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, HashmapSubject { m }, n, scripts))
+
+        ExploreReport {
+            cfg: cfg.clone(),
+            runs,
+            runs_skipped,
+            crash_runs,
+            total_events,
+            violations,
+            csv,
         }
     }
 }
@@ -1154,95 +1080,30 @@ pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
         cfg.ops_per_thread
     );
 
-    let case = make_case(cfg);
-    // Calibrate the PCT horizon with one throwaway crash-free round-robin
-    // run (also a cheap end-to-end smoke of the pair before the matrix).
-    // Fixed once for the whole exploration: a crash replay must construct
-    // the identical strategy as the crash-free run it replays, and shards
-    // must generate the same schedules as an unsharded run.
-    let horizon = case
-        .run_one(cfg, StrategyKind::RoundRobin, 0, None, 0)
-        .events;
-
-    let mut csv = Csv::new(
-        &format!(
-            "explore_{}{}_{}_t{}",
-            if cfg.reclaim { "churn_" } else { "" },
-            cfg.structure.name(),
-            file_slug(cfg.algo.name()),
-            cfg.threads
-        ),
-        &[
-            "strategy",
-            "schedule",
-            "threads",
-            "crash_k",
-            "events",
-            "ops_recorded",
-            "crashed_threads",
-            "ok",
-            "note",
-        ],
-    );
-    let mut violations = Vec::new();
-    let (mut runs, mut runs_skipped, mut crash_runs, mut total_events) = (0u64, 0u64, 0u64, 0u64);
-    let record = |csv: &mut Csv, r: &RunOutcome, violations: &mut Vec<RunOutcome>| {
-        csv.push(&[
-            r.strategy.name().to_string(),
-            r.schedule.to_string(),
-            cfg.threads.to_string(),
-            r.crash_k.map(|k| k.to_string()).unwrap_or_default(),
-            r.events.to_string(),
-            r.ops_recorded.to_string(),
-            r.crashed_threads.to_string(),
-            r.ok.to_string(),
-            csv_escape(&r.note),
-        ]);
-        if !r.ok {
-            violations.push(r.clone());
-        }
+    let case = CaseCfg {
+        structure: cfg.structure,
+        algo: cfg.algo,
+        palloc: false,
+        plan: Plan::Explore {
+            seed: cfg.seed,
+            threads: cfg.threads,
+            len: cfg.ops_per_thread,
+        },
+        pool_bytes: cfg.pool_bytes,
+        reclaim: cfg.reclaim,
+        flushopt: cfg.flushopt,
+        site_mask: u64::MAX,
     };
-
-    for (si, &strategy) in cfg.strategies.iter().enumerate() {
-        for schedule in 0..cfg.schedules {
-            let grid_index = si as u64 * cfg.schedules + schedule;
-            if cfg.shard_count > 1 && grid_index % cfg.shard_count != cfg.shard_index {
-                runs_skipped += 1;
-                continue;
-            }
-            let free = case.run_one(cfg, strategy, schedule, None, horizon);
-            runs += 1;
-            total_events += free.events;
-            let clean = free.ok;
-            let events = free.events;
-            record(&mut csv, &free, &mut violations);
-            if let CrashMode::Sampled { per_schedule } = cfg.crash {
-                if clean {
-                    for k in crash_points(cfg.seed, strategy, schedule, events, per_schedule) {
-                        let r = case.run_one(cfg, strategy, schedule, Some(k), horizon);
-                        crash_runs += 1;
-                        total_events += r.events;
-                        record(&mut csv, &r, &mut violations);
-                    }
-                }
-            }
-        }
-    }
-
-    ExploreReport {
-        cfg: cfg.clone(),
-        runs,
-        runs_skipped,
-        crash_runs,
-        total_events,
-        violations,
-        csv,
-    }
+    build_case(&case, Explore(cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case::{map_script, HASHMAP_SWEEP_CFG};
+    use linearize::MapOp;
+    use pmem::PoolCfg;
+    use tracking::RecoverableHashMap;
 
     #[test]
     fn round_robin_alternates_and_skips_dead_threads() {
@@ -1317,7 +1178,11 @@ mod tests {
         let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
         for t in 0..2 {
             let ctx = ThreadCtx::new(pool.clone(), t);
-            for op in map_script_for(0, t, 12) {
+            // Explore seed 0, salted and parameterised as `Plan::Explore`
+            // does for the map.
+            let seed = (t as u64 + 1).wrapping_mul(0x4A5F_9876);
+            let (puts, base) = if t == 0 { (8, 100) } else { (4, 200) };
+            for op in map_script(seed, 12, puts, base) {
                 match op {
                     MapOp::Put(k, v) => drop(m.put(&ctx, k, v)),
                     MapOp::Remove(k) => drop(m.remove(&ctx, k)),

@@ -49,6 +49,7 @@
 
 pub mod adapter;
 pub mod baseline;
+pub mod case;
 pub mod csv;
 pub mod explore;
 pub mod figures;

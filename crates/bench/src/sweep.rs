@@ -56,53 +56,26 @@
 //!
 //! The workload scripts are deterministic functions of the sweep seed, so
 //! the count and every replay observe the identical event stream, and a
-//! failing `k` reproduces exactly. The `crashsweep` binary drives this
+//! failing `k` reproduces exactly. Subjects, scripts, pools and the
+//! recovery sequence come from the case factory the schedule explorer
+//! shares ([`crate::case`]). The `crashsweep` binary drives this
 //! engine over the full structure × algorithm matrix and writes one CSV per
 //! pair under `results/crashsweep/`.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use linearize::{
-    History, MapOp, MapRet, MapSpec, QueueOp, QueueRet, QueueSpec, SetOp, SetSpec, Spec, StackOp,
-    StackRet, StackSpec,
-};
+use linearize::{History, Spec};
 use pmem::{
-    run_crashable, CrashAdversary, Event, PAddr, PessimistAdversary, PmemPool, PoolCfg,
-    PoolSnapshot, SeededAdversary, SiteId, ThreadCtx,
-};
-use tracking::{
-    CombiningQueue, CombiningStack, RecoverableExchanger, RecoverableHashMap, RecoverableQueue,
-    RecoverableStack,
+    run_crashable, CrashAdversary, Event, PessimistAdversary, PmemPool, PoolSnapshot,
+    SeededAdversary, SiteId, ThreadCtx,
 };
 
-use crate::adapter::{build, AlgoKind, SetAlgo, StructureKind};
+use crate::adapter::{AlgoKind, StructureKind};
+use crate::case::{
+    build_case, exhaustion, recover, splitmix64, CaseCfg, CaseVisitor, CrashSubject, Op, Plan, Ret,
+};
 use crate::csv::Csv;
-
-/// Key universe of the set scripts (kept far below the [`SetSpec`] bitmap's
-/// 64-key ceiling so the observation phase stays cheap).
-pub const SET_KEYS: u64 = 12;
-
-/// Key universe of the hashmap scripts. Paired with the deliberately tiny
-/// `HASHMAP_SWEEP_CFG` (2 initial buckets, chains capped at 2) it forces
-/// several level migrations *inside* the scripted window, so the exhaustive
-/// sweep crashes the resize protocol at every publish / migrate / seal /
-/// finish event, not just the bucket operations.
-pub const MAP_KEYS: u64 = 12;
-
-/// Hash-table geometry used by every sweep/explore case: small enough that
-/// the 12-op script crosses multiple resizes.
-pub(crate) const HASHMAP_SWEEP_CFG: tracking::hashmap::HashMapConfig =
-    tracking::hashmap::HashMapConfig {
-        initial_buckets: 2,
-        max_chain: 2,
-    };
-
-/// Threads parameter passed to [`build`] (sizes per-thread tables of the
-/// algorithms that need them; the sweep itself is single-threaded so that
-/// exhaustive crash-point enumeration is deterministic and the model
-/// unambiguous — concurrent interleavings are [`crate::explore`]'s job).
-const SWEEP_THREADS: usize = 2;
 
 /// Crash adversary applied when resolving each injected crash.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -276,6 +249,22 @@ pub struct PointOutcome {
 }
 
 impl PointOutcome {
+    /// A passing, not-yet-crashed outcome for point `k` of op `op_index`.
+    fn at(k: u64, op_index: usize, op: String) -> PointOutcome {
+        PointOutcome {
+            k,
+            op_index,
+            op,
+            crashed: false,
+            detect_ok: true,
+            durable_ok: true,
+            exhausted: false,
+            note: String::new(),
+            recrash_points: 0,
+            trace_tail: Vec::new(),
+        }
+    }
+
     /// Did this crash point pass both obligations?
     pub fn ok(&self) -> bool {
         self.crashed && self.detect_ok && self.durable_ok && !self.exhausted
@@ -367,752 +356,13 @@ impl SweepReport {
     }
 }
 
-// ---------------------------------------------------------------- scripts
-
-/// xorshift64* — the same tiny deterministic generator the integration
-/// tests use; reproduced here so `bench` stays dependency-free.
-pub(crate) struct Rng(pub(crate) u64);
-
-impl Rng {
-    pub(crate) fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Deterministic membership test for `--sample p`.
 pub(crate) fn sampled(seed: u64, k: u64, p: f64) -> bool {
     let r = splitmix64(seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     ((r >> 11) as f64 / (1u64 << 53) as f64) < p
 }
 
-fn set_script(seed: u64, len: usize) -> Vec<SetOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % SET_KEYS + 1;
-            match (r >> 32) % 8 {
-                0..=3 => SetOp::Insert(key),
-                4..=6 => SetOp::Delete(key),
-                _ => SetOp::Find(key),
-            }
-        })
-        .collect()
-}
-
-fn queue_script(seed: u64, len: usize) -> Vec<QueueOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    let mut next = 100;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                QueueOp::Enqueue(next)
-            } else {
-                QueueOp::Dequeue
-            }
-        })
-        .collect()
-}
-
-fn stack_script(seed: u64, len: usize) -> Vec<StackOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    let mut next = 200;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                StackOp::Push(next)
-            } else {
-                StackOp::Pop
-            }
-        })
-        .collect()
-}
-
-fn map_script(seed: u64, len: usize) -> Vec<MapOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % MAP_KEYS + 1;
-            match (r >> 32) % 8 {
-                // Put-heavy so the table actually grows through resizes.
-                0..=4 => MapOp::Put(key, (r >> 40) % 90 + 100),
-                5..=6 => MapOp::Remove(key),
-                _ => MapOp::Get(key),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------- subjects
-
-/// One recoverable structure under test, described by its sequential
-/// specification. `exec` is the post-prologue operation body (the harness
-/// issues [`ThreadCtx::begin_op`] itself, so a crash inside the prologue is
-/// a distinct, covered case); `recover` is the matching `*.Recover`
-/// function; `observe` runs the post-recovery read-only phase, appending
-/// what it sees to the history and checking quiescent structural
-/// invariants.
-pub(crate) trait CrashSubject {
-    type S: Spec + Default;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &<Self::S as Spec>::Op) -> <Self::S as Spec>::Ret;
-    fn recover(&self, ctx: &ThreadCtx, op: &<Self::S as Spec>::Op) -> <Self::S as Spec>::Ret;
-    fn recover_structure(&self) {}
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<Self::S>) -> Result<(), String>;
-
-    /// Verdict over a genuinely concurrent execution (the schedule
-    /// explorer's oracle): the per-thread completed operations — including
-    /// recovered responses of crash-interrupted ones — must, together with
-    /// the post-run observation phase, form a linearizable history, and the
-    /// structure must pass its quiescent invariants. The default is exactly
-    /// that; the exchanger overrides it with a pairing oracle, because its
-    /// sequential spec (`exchange → None`) only describes isolated threads.
-    fn concurrent_verdict(
-        &self,
-        ctx: &ThreadCtx,
-        recorded: &[CompletedOp<Self::S>],
-    ) -> Result<(), String> {
-        let mut h: History<Self::S> = History::new();
-        for r in recorded {
-            h.record_on(r.tid, r.op.clone(), r.ret.clone(), r.inv, r.res);
-        }
-        self.observe(ctx, &mut h)?;
-        h.check(Self::S::default())
-            .map(|_| ())
-            .map_err(|e| format!("not linearizable: {e}"))
-    }
-}
-
-/// One completed (or crash-recovered) operation of a concurrent execution,
-/// as fed to [`CrashSubject::concurrent_verdict`].
-pub(crate) struct CompletedOp<S: Spec> {
-    /// Logical (virtual) thread that ran the operation.
-    pub(crate) tid: usize,
-    pub(crate) op: S::Op,
-    pub(crate) ret: S::Ret,
-    /// Invocation / response stamps from the shared [`linearize::Clock`].
-    pub(crate) inv: u64,
-    pub(crate) res: u64,
-}
-
-pub(crate) struct SetSubject {
-    pub(crate) algo: Arc<dyn SetAlgo>,
-}
-
-impl CrashSubject for SetSubject {
-    type S = SetSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &SetOp) -> bool {
-        match *op {
-            SetOp::Insert(k) => self.algo.insert_started(ctx, k),
-            SetOp::Delete(k) => self.algo.delete_started(ctx, k),
-            SetOp::Find(k) => self.algo.find(ctx, k),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &SetOp) -> bool {
-        match *op {
-            SetOp::Insert(k) => self.algo.recover_insert(ctx, k),
-            SetOp::Delete(k) => self.algo.recover_delete(ctx, k),
-            SetOp::Find(k) => self.algo.recover_find(ctx, k),
-        }
-    }
-
-    fn recover_structure(&self) {
-        self.algo.recover_structure();
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<SetSpec>) -> Result<(), String> {
-        let mut present = 0usize;
-        for key in 1..=SET_KEYS {
-            let found = self.algo.find(ctx, key);
-            present += found as usize;
-            let t = h.invoke(0, SetOp::Find(key));
-            h.ret(t, found);
-        }
-        let len = self.algo.len();
-        if len != present {
-            return Err(format!(
-                "structural check: len() = {len} but {present} keys answer find"
-            ));
-        }
-        Ok(())
-    }
-}
-
-pub(crate) struct QueueSubject {
-    pub(crate) q: RecoverableQueue,
-}
-
-impl CrashSubject for QueueSubject {
-    type S = QueueSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.enqueue_started(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.dequeue_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.recover_enqueue(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.recover_dequeue(ctx)),
-        }
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<QueueSpec>) -> Result<(), String> {
-        // Drain: each dequeue is a real recorded operation, ending with the
-        // observation that the queue is empty.
-        let cap = self.q.len() + 1;
-        for _ in 0..cap {
-            let v = self.q.dequeue(ctx);
-            let t = h.invoke(0, QueueOp::Dequeue);
-            h.ret(t, QueueRet::Dequeued(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.q.is_empty() {
-            return Err("structural check: queue not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-/// [`QueueSubject`] for the flat-combining variant — same spec and
-/// observation phase, so the combining queue answers to exactly the
-/// linearizability and detectability obligations the plain one does.
-pub(crate) struct CombQueueSubject {
-    pub(crate) q: CombiningQueue,
-}
-
-impl CrashSubject for CombQueueSubject {
-    type S = QueueSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.enqueue_started(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.dequeue_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.recover_enqueue(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.recover_dequeue(ctx)),
-        }
-    }
-
-    fn recover_structure(&self) {
-        // The crash may keep the volatile image of the combiner lock /
-        // request / ready lines (cache-eviction modeling); clear them
-        // before any per-op recovery or a surviving lock wedges it.
-        self.q.recover_structure();
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<QueueSpec>) -> Result<(), String> {
-        let cap = self.q.len() + 1;
-        for _ in 0..cap {
-            let v = self.q.dequeue(ctx);
-            let t = h.invoke(0, QueueOp::Dequeue);
-            h.ret(t, QueueRet::Dequeued(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.q.is_empty() {
-            return Err("structural check: combining queue not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-pub(crate) struct StackSubject {
-    pub(crate) s: RecoverableStack,
-}
-
-impl CrashSubject for StackSubject {
-    type S = StackSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.push_started(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.pop_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.recover_push(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.recover_pop(ctx)),
-        }
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<StackSpec>) -> Result<(), String> {
-        let cap = self.s.len() + 1;
-        for _ in 0..cap {
-            let v = self.s.pop(ctx);
-            let t = h.invoke(0, StackOp::Pop);
-            h.ret(t, StackRet::Popped(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.s.is_empty() {
-            return Err("structural check: stack not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-/// [`StackSubject`] for the flat-combining variant.
-pub(crate) struct CombStackSubject {
-    pub(crate) s: CombiningStack,
-}
-
-impl CrashSubject for CombStackSubject {
-    type S = StackSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.push_started(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.pop_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.recover_push(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.recover_pop(ctx)),
-        }
-    }
-
-    fn recover_structure(&self) {
-        self.s.recover_structure();
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<StackSpec>) -> Result<(), String> {
-        let cap = self.s.len() + 1;
-        for _ in 0..cap {
-            let v = self.s.pop(ctx);
-            let t = h.invoke(0, StackOp::Pop);
-            h.ret(t, StackRet::Popped(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.s.is_empty() {
-            return Err("structural check: combining stack not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-/// A lone thread can never meet a partner, so every exchange must complete
-/// unmatched (`None`) and leave the slot free — which is exactly what a
-/// detectably-recovered exchange must also conclude after a crash.
-#[derive(Clone, Default)]
-pub(crate) struct ExchangeSpec;
-
-impl Spec for ExchangeSpec {
-    type Op = u64;
-    type Ret = Option<u64>;
-    type Digest = ();
-
-    fn apply(&mut self, _op: &u64) -> Option<u64> {
-        None
-    }
-
-    fn digest(&self) {}
-}
-
-/// Spin budget for exchanger ops (small: keeps the event count per op, and
-/// therefore the sweep, short while still exercising the wait loop).
-pub(crate) const EXCHANGE_SPIN: usize = 6;
-
-pub(crate) struct ExchangerSubject {
-    pub(crate) x: RecoverableExchanger,
-}
-
-impl CrashSubject for ExchangerSubject {
-    type S = ExchangeSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &u64) -> Option<u64> {
-        self.x.exchange_started(ctx, *op, EXCHANGE_SPIN)
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &u64) -> Option<u64> {
-        self.x.recover_exchange(ctx, *op, EXCHANGE_SPIN)
-    }
-
-    fn observe(&self, _ctx: &ThreadCtx, _h: &mut History<ExchangeSpec>) -> Result<(), String> {
-        if !self.x.is_free() {
-            return Err("structural check: exchanger slot not free after recovery".into());
-        }
-        Ok(())
-    }
-
-    /// Pairing oracle: every exchange that returned `Some(v)` must have a
-    /// unique partner — the operation that offered `v` — whose own result
-    /// is this operation's offer, on a *different* thread, with genuinely
-    /// overlapping intervals (a rendezvous has no sequential witness).
-    /// Offers are unique across the run, so the partner map is well-defined.
-    /// Unmatched (`None`) results carry no obligation; the slot must end
-    /// free either way.
-    fn concurrent_verdict(
-        &self,
-        _ctx: &ThreadCtx,
-        recorded: &[CompletedOp<ExchangeSpec>],
-    ) -> Result<(), String> {
-        for r in recorded {
-            let Some(got) = r.ret else { continue };
-            let partner = recorded
-                .iter()
-                .find(|p| p.op == got)
-                .ok_or_else(|| format!("t{} exchanged value {got} nobody offered", r.tid))?;
-            if partner.tid == r.tid {
-                return Err(format!(
-                    "t{} exchanged value {got} with itself (offer {})",
-                    r.tid, r.op
-                ));
-            }
-            if partner.ret != Some(r.op) {
-                return Err(format!(
-                    "asymmetric pairing: t{} offered {} and got {got}, but t{} \
-                     offering {got} got {:?}",
-                    r.tid, r.op, partner.tid, partner.ret
-                ));
-            }
-            if !(r.inv < partner.res && partner.inv < r.res) {
-                return Err(format!(
-                    "t{} [{}, {}] paired with t{} [{}, {}] without overlapping — \
-                     a rendezvous must be concurrent",
-                    r.tid, r.inv, r.res, partner.tid, partner.inv, partner.res
-                ));
-            }
-        }
-        if !self.x.is_free() {
-            return Err("structural check: exchanger slot not free after the run".into());
-        }
-        Ok(())
-    }
-}
-
-pub(crate) struct HashmapSubject {
-    pub(crate) m: RecoverableHashMap,
-}
-
-impl CrashSubject for HashmapSubject {
-    type S = MapSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &MapOp) -> MapRet {
-        match *op {
-            MapOp::Put(k, v) => MapRet::Put(self.m.put_started(ctx, k, v)),
-            MapOp::Remove(k) => MapRet::Removed(self.m.remove_started(ctx, k)),
-            MapOp::Get(k) => MapRet::Got(self.m.get(ctx, k)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &MapOp) -> MapRet {
-        match *op {
-            MapOp::Put(k, v) => MapRet::Put(self.m.recover_put(ctx, k, v)),
-            MapOp::Remove(k) => MapRet::Removed(self.m.recover_remove(ctx, k)),
-            MapOp::Get(k) => MapRet::Got(self.m.recover_get(ctx, k)),
-        }
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<MapSpec>) -> Result<(), String> {
-        let mut present = 0usize;
-        for key in 1..=MAP_KEYS {
-            let got = self.m.get(ctx, key);
-            present += got.is_some() as usize;
-            let t = h.invoke(0, MapOp::Get(key));
-            h.ret(t, MapRet::Got(got));
-        }
-        let len = self.m.len();
-        if len != present {
-            return Err(format!(
-                "structural check: len() = {len} but {present} keys answer get"
-            ));
-        }
-        // `check_invariants` walks every bucket of the current level
-        // (sorted chains, bucket-hash residency, no stale tags, no pending
-        // next level) and panics on violation; surface that as a verdict,
-        // not a sweep-killing panic.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.m.check_invariants()))
-            .map_err(|p| {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| p.downcast_ref::<&str>().copied())
-                    .unwrap_or("invariant panic");
-                format!("structural check: {msg}")
-            })?;
-        Ok(())
-    }
-}
-
-// ------------------------------------------------------- palloc subject
-
-/// Unnamed site used by the palloc subject's own bookkeeping stores.
-const P_WORK: SiteId = SiteId(60);
-
-/// Payload stamp written into word 2 of every owned block; a block handed
-/// out twice is zeroed by the second allocation, destroying the stamp.
-const OWNED_PATTERN: u64 = 0xA110_C47E_D000_0000;
-
-/// One step of the allocator-churn script swept by [`run_palloc_sweep`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum PallocOp {
-    /// Allocate a block of this class (1..=[`pmem::MAX_CLASS`] lines) and
-    /// push it, durably, onto the subject's owned list.
-    Alloc(usize),
-    /// Durably pop the owned-list head and retire it to the limbo list.
-    Retire,
-    /// Drain every thread's limbo list ([`PmemPool::palloc_drain_all`]).
-    Drain,
-}
-
-/// Trivial sequential spec: allocator steps have no observable response —
-/// the verdict is entirely the structural audit in
-/// [`PallocSubject::observe`] plus the engine's [`PmemPool::palloc_check`].
-#[derive(Clone, Default)]
-pub(crate) struct PallocSpec;
-
-impl Spec for PallocSpec {
-    type Op = PallocOp;
-    type Ret = bool;
-    type Digest = ();
-
-    fn apply(&mut self, _op: &PallocOp) -> bool {
-        true
-    }
-
-    fn digest(&self) {}
-}
-
-/// Sweeps the allocator *itself*: the script allocates, retires and drains
-/// blocks through the instrumented palloc protocols, keeping every live
-/// block on a persistent singly-linked "owned" list anchored at a root
-/// cell. After each injected crash plus [`PmemPool::recover_allocator`],
-/// [`PallocSubject::observe`] audits the heap: every owned block's payload
-/// stamp must be intact (a block issued twice is zeroed by the second
-/// allocation) and no owned block may overlap a free-list or limbo block —
-/// the no-double-allocate obligation at every possible crash point.
-pub(crate) struct PallocSubject {
-    owned: PAddr,
-}
-
-impl PallocSubject {
-    /// `(address, class)` of every block on the owned list.
-    fn owned_blocks(&self, pool: &PmemPool) -> Result<Vec<(u64, usize)>, String> {
-        let mut out = Vec::new();
-        let mut p = pool.load(self.owned);
-        while p != 0 {
-            if out.len() > 100_000 {
-                return Err("owned list cycles".into());
-            }
-            let b = PAddr(p);
-            let class = pool.load(b.add(1)) as usize;
-            if !(1..=pmem::MAX_CLASS).contains(&class) {
-                return Err(format!("owned block {p:#x} carries class {class}"));
-            }
-            if pool.load(b.add(2)) != OWNED_PATTERN ^ p {
-                return Err(format!(
-                    "owned block {p:#x} payload stamp clobbered — issued twice?"
-                ));
-            }
-            out.push((p, class));
-            p = pool.load(b);
-        }
-        Ok(out)
-    }
-}
-
-impl CrashSubject for PallocSubject {
-    type S = PallocSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &PallocOp) -> bool {
-        let pool = ctx.pool();
-        match *op {
-            PallocOp::Alloc(class) => {
-                let b = ctx.palloc(class);
-                // Link (w0), class (w1) and stamp (w2) are durable before
-                // the head moves, so a durable head implies an intact,
-                // well-formed block; a crash in between leaks at most `b`.
-                pool.store(b, pool.load(self.owned));
-                pool.store(b.add(1), class as u64);
-                pool.store(b.add(2), OWNED_PATTERN ^ b.raw());
-                pool.pwb(b, P_WORK);
-                pool.pfence();
-                pool.store(self.owned, b.raw());
-                pool.pwb(self.owned, P_WORK);
-                pool.psync();
-            }
-            PallocOp::Retire => {
-                let head = pool.load(self.owned);
-                if head != 0 {
-                    let b = PAddr(head);
-                    let class = pool.load(b.add(1)) as usize;
-                    // The pop is durable *before* the block is retired: no
-                    // crash can leave it both owned and on a limbo list.
-                    pool.store(self.owned, pool.load(b));
-                    pool.pwb(self.owned, P_WORK);
-                    pool.psync();
-                    ctx.retire(b, class);
-                }
-            }
-            PallocOp::Drain => pool.palloc_drain_all(),
-        }
-        true
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &PallocOp) -> bool {
-        // Allocator steps are not detectable operations — a restarted
-        // system simply re-invokes them. A crashed step leaks at most its
-        // one in-flight block (the paper's bounded-leak budget), which the
-        // audit tolerates; what it must never do is double-issue.
-        self.exec(ctx, op)
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, _h: &mut History<PallocSpec>) -> Result<(), String> {
-        let pool = ctx.pool();
-        let owned = self
-            .owned_blocks(pool)
-            .map_err(|e| format!("owned audit: {e}"))?;
-        // No owned block may overlap any block the allocator considers
-        // re-issuable (free list or limbo), and owned blocks must not
-        // overlap each other.
-        let mut spans: Vec<(u64, u64, &'static str)> = owned
-            .iter()
-            .map(|&(a, c)| (a, a + (c * pmem::WORDS_PER_LINE) as u64, "owned"))
-            .collect();
-        for (a, c) in pool
-            .palloc_free_blocks()
-            .into_iter()
-            .chain(pool.palloc_limbo_blocks())
-        {
-            spans.push((a, a + (c * pmem::WORDS_PER_LINE) as u64, "recyclable"));
-        }
-        spans.sort_unstable();
-        for w in spans.windows(2) {
-            let ((a0, end0, k0), (a1, _, k1)) = (w[0], w[1]);
-            if a1 < end0 {
-                return Err(format!(
-                    "blocks overlap: {k0} block {a0:#x} (ends {end0:#x}) and {k1} block {a1:#x}"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Deterministic allocator-churn script: ~1/2 allocs across every size
-/// class, ~3/8 retires, ~1/8 explicit drains (boundaries drain too).
-fn palloc_script(seed: u64, len: usize) -> Vec<PallocOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            match (r >> 32) % 8 {
-                0..=3 => PallocOp::Alloc((r % pmem::MAX_CLASS as u64) as usize + 1),
-                4..=6 => PallocOp::Retire,
-                _ => PallocOp::Drain,
-            }
-        })
-        .collect()
-}
-
-fn make_palloc_case(cfg: &SweepCfg) -> Box<dyn Case> {
-    let c = cfg.clone();
-    Box::new(CaseRunner::new(
-        palloc_script(cfg.seed, cfg.script_len),
-        move |traced| {
-            let pool = pool_for(&c, traced);
-            let ctx = ThreadCtx::new(pool.clone(), 0);
-            let owned = pool.root(0);
-            (pool, PallocSubject { owned }, ctx)
-        },
-    ))
-}
-
 // ---------------------------------------------------------------- engine
-
-fn pool_for(cfg: &SweepCfg, traced: bool) -> Arc<PmemPool> {
-    let base = PoolCfg {
-        reclaim: cfg.reclaim,
-        flushopt: cfg.flushopt,
-        ..PoolCfg::model(cfg.pool_bytes)
-    };
-    let pool = Arc::new(PmemPool::new(if traced {
-        PoolCfg {
-            trace: true,
-            trace_capacity: 4096,
-            ..base
-        }
-    } else {
-        base
-    }));
-    pool.set_sites_mask(cfg.site_mask);
-    pool
-}
-
-/// Object-safe face of one generic [`CaseRunner`].
-trait Case {
-    fn count_events(&self, cfg: &SweepCfg) -> u64;
-    /// Capture run of the checkpointed engine: one traced crash-free
-    /// execution that takes pool snapshots at operation boundaries. Must
-    /// run before [`Case::run_point_checkpointed`].
-    fn prepare(&self, cfg: &SweepCfg, total_events: u64);
-    /// Scratch engine: rebuild the structure, replay the whole script.
-    fn run_point(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome;
-    /// Checkpointed engine: restore the nearest checkpoint, replay the
-    /// remaining ops with the countdown rebased to the checkpoint.
-    fn run_point_checkpointed(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome;
-    /// Re-runs point `k` traced under *both* engines; `Some(detail)` when
-    /// their verdicts or pre-crash event streams diverge.
-    fn paranoia_check(&self, cfg: &SweepCfg, k: u64) -> Option<String>;
-}
 
 /// One replay checkpoint: the pool state at an operation boundary,
 /// `events` instrumented events into the script.
@@ -1133,41 +383,81 @@ struct ReplayState<Sub: CrashSubject> {
     ctx: ThreadCtx,
     /// Crash-free responses of the capture run; `responses[..cp.op_idx]`
     /// seeds a replay's history prefix.
-    responses: Vec<<<Sub as CrashSubject>::S as Spec>::Ret>,
+    responses: Vec<Ret<Sub>>,
     /// Ascending by `events`; `checkpoints[0]` is always the script start.
     checkpoints: Vec<Checkpoint>,
 }
 
 struct CaseRunner<Sub: CrashSubject, B> {
-    script: Vec<<<Sub as CrashSubject>::S as Spec>::Op>,
+    script: Vec<Op<Sub>>,
     /// `format!("{:?}")` of each script op, rendered once — the verdict of
     /// every crash point names its interrupted op, and re-rendering per
     /// point is measurable across a full matrix.
     op_strs: Vec<String>,
+    /// The case factory's subject builder (traced or dark).
     build: B,
-    replay: RefCell<Option<ReplayState<Sub>>>,
+    capture: RefCell<Option<ReplayState<Sub>>>,
 }
 
-impl<Sub, B> CaseRunner<Sub, B>
-where
-    Sub: CrashSubject,
-    B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
-{
-    fn new(script: Vec<<<Sub as CrashSubject>::S as Spec>::Op>, build: B) -> Self {
-        CaseRunner {
-            op_strs: script.iter().map(|op| format!("{op:?}")).collect(),
-            script,
-            build,
-            replay: RefCell::new(None),
-        }
+/// The sweep's side of [`build_case`]: one runner over the single script,
+/// swept as `cfg` says.
+struct Sweep<'a> {
+    cfg: &'a SweepCfg,
+    label: String,
+}
+
+impl CaseVisitor for Sweep<'_> {
+    type Out = SweepReport;
+
+    fn visit<Sub: CrashSubject>(
+        self,
+        mut scripts: Vec<Vec<Op<Sub>>>,
+        build: impl Fn(bool) -> (Arc<PmemPool>, Sub) + 'static,
+    ) -> SweepReport {
+        CaseRunner::new(scripts.remove(0), build).sweep(self.cfg, self.label)
+    }
+}
+
+/// The factory input for `cfg`'s pair, or for the allocator subject.
+fn case_cfg(cfg: &SweepCfg, palloc: bool) -> CaseCfg {
+    CaseCfg {
+        structure: cfg.structure,
+        algo: cfg.algo,
+        palloc,
+        plan: Plan::Sweep {
+            seed: cfg.seed,
+            len: cfg.script_len,
+        },
+        pool_bytes: cfg.pool_bytes,
+        reclaim: cfg.reclaim,
+        flushopt: cfg.flushopt,
+        site_mask: cfg.site_mask,
     }
 }
 
 impl<Sub, B> CaseRunner<Sub, B>
 where
     Sub: CrashSubject,
-    B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
+    B: Fn(bool) -> (Arc<PmemPool>, Sub),
 {
+    fn new(script: Vec<Op<Sub>>, build: B) -> Self {
+        CaseRunner {
+            op_strs: script.iter().map(|op| format!("{op:?}")).collect(),
+            script,
+            build,
+            capture: RefCell::new(None),
+        }
+    }
+
+    /// A freshly built pool, subject and thread context, with the
+    /// constructor's events cleared (they are not crash points).
+    fn fresh(&self, traced: bool) -> (Arc<PmemPool>, Sub, ThreadCtx) {
+        let (pool, sub) = (self.build)(traced);
+        let ctx = ThreadCtx::new(pool.clone(), 0);
+        pool.trace_clear();
+        (pool, sub, ctx)
+    }
+
     /// The shared script loop — identical in the count run, the capture run
     /// and every replay, so tick streams line up exactly. Runs ops
     /// `[start, len)`; `at_boundary(i)` fires right before op `i`'s
@@ -1180,7 +470,7 @@ where
         ctx: &ThreadCtx,
         start: usize,
         progress: &Cell<(usize, bool)>,
-        responses: &RefCell<Vec<<Sub::S as Spec>::Ret>>,
+        responses: &RefCell<Vec<Ret<Sub>>>,
         mut at_boundary: impl FnMut(usize),
     ) {
         for (i, op) in self.script.iter().enumerate().skip(start) {
@@ -1217,22 +507,15 @@ where
         sub: &Sub,
         ctx: &ThreadCtx,
         progress: (usize, bool),
-        responses: &RefCell<Vec<<Sub::S as Spec>::Ret>>,
+        responses: &RefCell<Vec<Ret<Sub>>>,
         crashed: bool,
         trace_tail: Vec<String>,
     ) -> PointOutcome {
         let (j, past_prologue) = progress;
         let mut outcome = PointOutcome {
-            k,
-            op_index: j,
-            op: self.op_strs[j].clone(),
             crashed,
-            detect_ok: true,
-            durable_ok: true,
-            exhausted: false,
-            note: String::new(),
-            recrash_points: 0,
             trace_tail,
+            ..PointOutcome::at(k, j, self.op_strs[j].clone())
         };
         if !crashed {
             // The count said event k exists, yet the replay finished: the
@@ -1251,25 +534,22 @@ where
             model.apply(op);
         }
         let expected = model.apply(&self.script[j]);
+        // One recovery pass for the interrupted op; `pp` tracks whether a
+        // pass re-issued its prologue (see [`recover`]).
+        let pp = Cell::new(past_prologue);
+        let recover_op = || recover(pool, sub, [(ctx, &self.script[j], &pp)]).remove(0);
+        let judge = |outcome: &mut PointOutcome, actual: Ret<Sub>, tag: &str| {
+            self.judge(
+                outcome, pool, sub, ctx, j, responses, &expected, actual, tag,
+            )
+        };
 
         if cfg.multi_crash == 0 {
             // No further crash can fire before the next restore/rebuild, so
             // the crash model's bookkeeping is dead weight for the rest of
             // the verdict; restore (or the next scratch build) re-arms it.
             pool.set_crash_model_dormant(true);
-            let pp = Cell::new(past_prologue);
-            let actual = self.run_recovery(pool, sub, ctx, j, &pp);
-            self.judge(
-                &mut outcome,
-                pool,
-                sub,
-                ctx,
-                j,
-                responses,
-                &expected,
-                actual,
-                "",
-            );
+            judge(&mut outcome, recover_op(), "");
             return outcome;
         }
 
@@ -1280,29 +560,18 @@ where
         let base = pool.snapshot();
         const SENTINEL: u64 = 1 << 40;
         pool.crash_ctl().arm_after(SENTINEL);
-        let pp = Cell::new(past_prologue);
-        let r0 = self.run_recovery(pool, sub, ctx, j, &pp);
+        let r0 = recover_op();
         let recovery_events = SENTINEL - pool.crash_ctl().remaining() as u64;
         pool.crash_ctl().disarm();
-        self.judge(
-            &mut outcome,
-            pool,
-            sub,
-            ctx,
-            j,
-            responses,
-            &expected,
-            r0,
-            "",
-        );
+        judge(&mut outcome, r0, "");
 
         for i in 0..cfg.multi_crash {
             let k2 = splitmix64(cfg.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 48))
                 % recovery_events.max(1);
             pool.restore(&base);
-            let pp = Cell::new(past_prologue);
+            pp.set(past_prologue);
             pool.crash_ctl().arm_after(k2);
-            let first_pass = run_crashable(|| self.run_recovery(pool, sub, ctx, j, &pp)).is_some();
+            let first_pass = run_crashable(recover_op).is_some();
             pool.crash_ctl().disarm();
             outcome.recrash_points += 1;
             let tag = format!("recrash k2={k2}: ");
@@ -1322,51 +591,10 @@ where
             // run recovery from the top — entry point per where the
             // re-crash fell, exactly as a twice-restarted system would.
             pool.crash(&mut *cfg.adversary.instantiate(k ^ (k2 << 20) ^ 0xD00D, cfg.seed));
-            let r2 = self.run_recovery(pool, sub, ctx, j, &pp);
-            self.judge(
-                &mut outcome,
-                pool,
-                sub,
-                ctx,
-                j,
-                responses,
-                &expected,
-                r2,
-                &tag,
-            );
+            judge(&mut outcome, recover_op(), &tag);
         }
         pool.set_crash_model_dormant(true);
         outcome
-    }
-
-    /// One full recovery pass, ordered as a restarted system orders it:
-    /// allocator recovery first (structure recovery may allocate, and it
-    /// must not see a half-linked free list; no-op on bump pools), then
-    /// structure-global recovery, then the interrupted thread's entry
-    /// point. `past_prologue` is updated in place: a re-crash landing
-    /// *after* this pass re-issued the prologue resumes through
-    /// `recover`, not a third prologue — `CP_q`/`RD_q` describe the
-    /// current operation from that moment on.
-    fn run_recovery(
-        &self,
-        pool: &PmemPool,
-        sub: &Sub,
-        ctx: &ThreadCtx,
-        j: usize,
-        past_prologue: &Cell<bool>,
-    ) -> <Sub::S as Spec>::Ret {
-        pool.recover_allocator();
-        sub.recover_structure();
-        if past_prologue.get() {
-            sub.recover(ctx, &self.script[j])
-        } else {
-            // Crash inside begin_op: RD_q still describes the previous
-            // operation, so `recover` would resolve the wrong op. The
-            // system re-invokes from the prologue instead (see module docs).
-            ctx.begin_op(SiteId(0));
-            past_prologue.set(true);
-            sub.exec(ctx, &self.script[j])
-        }
     }
 
     /// Applies both of the paper's obligations (plus the allocator audit)
@@ -1380,9 +608,9 @@ where
         sub: &Sub,
         ctx: &ThreadCtx,
         j: usize,
-        responses: &RefCell<Vec<<Sub::S as Spec>::Ret>>,
-        expected: &<Sub::S as Spec>::Ret,
-        actual: <Sub::S as Spec>::Ret,
+        responses: &RefCell<Vec<Ret<Sub>>>,
+        expected: &Ret<Sub>,
+        actual: Ret<Sub>,
         tag: &str,
     ) {
         if actual != *expected {
@@ -1429,137 +657,82 @@ where
         }
     }
 
-    /// A replay panic that is not the injected crash: a pool-exhaustion
-    /// panic becomes a distinct `exhausted` outcome carrying the pool's
-    /// actionable capacity message (it used to masquerade as an opaque
-    /// worker panic killing the whole sweep); anything else is a real bug
-    /// and resumes unwinding.
-    fn classify_panic(
+    /// A replay panic that is not the injected crash becomes a distinct
+    /// `exhausted` outcome when it is pool exhaustion ([`exhaustion`]).
+    fn exhausted(
         &self,
         k: u64,
         progress: (usize, bool),
         payload: Box<dyn std::any::Any + Send>,
     ) -> PointOutcome {
-        let Some(msg) = pmem::exhaustion_message(payload.as_ref()) else {
-            std::panic::resume_unwind(payload);
-        };
         let (j, _) = progress;
         PointOutcome {
-            k,
-            op_index: j,
-            op: self.op_strs[j].clone(),
-            crashed: false,
-            detect_ok: true,
-            durable_ok: true,
             exhausted: true,
-            note: format!("pool exhausted: {msg}"),
-            recrash_points: 0,
-            trace_tail: Vec::new(),
+            note: format!("pool exhausted: {}", exhaustion(payload)),
+            ..PointOutcome::at(k, j, self.op_strs[j].clone())
         }
     }
 
-    /// Scratch engine, also returning the pre-crash event stream when
-    /// traced (paranoia comparison input).
-    fn run_point_impl(&self, cfg: &SweepCfg, k: u64, traced: bool) -> (PointOutcome, Vec<Event>) {
-        let (pool, sub, ctx) = (self.build)(traced);
-        pool.trace_clear(); // constructor events are not crash points
-        pool.crash_ctl().arm_after(k);
-        let progress = Cell::new((0, false));
-        let responses = RefCell::new(Vec::new());
-        let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_crashable(|| self.run_script(&sub, &ctx, 0, &progress, &responses, |_| {}))
-        }));
-        pool.crash_ctl().disarm();
-        let (events, trace_tail) = capture_stream(&pool, cfg, traced);
-        let done = match done {
-            Ok(d) => d,
-            Err(p) => return (self.classify_panic(k, progress.get(), p), events),
-        };
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.finish_point(
-                cfg,
-                k,
-                &pool,
-                &sub,
-                &ctx,
-                progress.get(),
-                &responses,
-                done.is_none(),
-                trace_tail,
-            )
-        }))
-        .unwrap_or_else(|p| self.classify_panic(k, progress.get(), p));
-        (out, events)
-    }
-
-    /// Checkpointed engine: restore the nearest checkpoint at or before
-    /// `k`, rebase the crash countdown to it, replay only the remaining
-    /// operations.
-    fn run_point_ckpt_impl(
+    /// Replays ops `[start, len)` after `responses` (the completed prefix)
+    /// with the crash armed `arm` events ahead, then judges point `k`.
+    /// Shared by both engines; also returns the pre-crash event stream
+    /// when traced (paranoia comparison input).
+    #[allow(clippy::too_many_arguments)]
+    fn replay(
         &self,
         cfg: &SweepCfg,
         k: u64,
         traced: bool,
+        (pool, sub, ctx): (&PmemPool, &Sub, &ThreadCtx),
+        start: usize,
+        arm: u64,
+        responses: Vec<Ret<Sub>>,
     ) -> (PointOutcome, Vec<Event>) {
-        let guard = self.replay.borrow();
-        let st = guard
-            .as_ref()
-            .expect("prepare() must run before a checkpointed replay");
-        let cp = &st.checkpoints[st.checkpoints.partition_point(|c| c.events <= k) - 1];
-        st.pool.restore(&cp.snap);
-        st.pool.set_trace_enabled(traced);
-        st.pool.crash_ctl().arm_after(k - cp.events);
-        let progress = Cell::new((cp.op_idx, false));
-        let responses = RefCell::new(st.responses[..cp.op_idx].to_vec());
+        pool.crash_ctl().arm_after(arm);
+        let progress = Cell::new((start, false));
+        let responses = RefCell::new(responses);
         let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_crashable(|| {
-                self.run_script(&st.sub, &st.ctx, cp.op_idx, &progress, &responses, |_| {})
-            })
+            run_crashable(|| self.run_script(sub, ctx, start, &progress, &responses, |_| {}))
         }));
-        st.pool.crash_ctl().disarm();
-        let (events, trace_tail) = capture_stream(&st.pool, cfg, traced);
-        let done = match done {
-            Ok(d) => d,
-            Err(p) => return (self.classify_panic(k, progress.get(), p), events),
+        pool.crash_ctl().disarm();
+        let (events, trace_tail) = capture_stream(pool, cfg, traced);
+        let out = match done {
+            Ok(done) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.finish_point(
+                    cfg,
+                    k,
+                    pool,
+                    sub,
+                    ctx,
+                    progress.get(),
+                    &responses,
+                    done.is_none(),
+                    trace_tail,
+                )
+            }))
+            .unwrap_or_else(|p| self.exhausted(k, progress.get(), p)),
+            Err(p) => self.exhausted(k, progress.get(), p),
         };
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.finish_point(
-                cfg,
-                k,
-                &st.pool,
-                &st.sub,
-                &st.ctx,
-                progress.get(),
-                &responses,
-                done.is_none(),
-                trace_tail,
-            )
-        }))
-        .unwrap_or_else(|p| self.classify_panic(k, progress.get(), p));
         (out, events)
     }
-}
 
-impl<Sub, B> Case for CaseRunner<Sub, B>
-where
-    Sub: CrashSubject,
-    B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
-{
-    fn count_events(&self, _cfg: &SweepCfg) -> u64 {
-        let (pool, sub, ctx) = (self.build)(true);
-        pool.trace_clear(); // constructor events are not crash points
+    /// Crash-free traced run of the whole script: its event total `N`.
+    fn count_events(&self) -> u64 {
+        let (pool, sub, ctx) = self.fresh(true);
         let progress = Cell::new((0, false));
         let responses = RefCell::new(Vec::new());
         self.run_script(&sub, &ctx, 0, &progress, &responses, |_| {});
         pool.trace_snapshot().total()
     }
 
-    fn prepare(&self, _cfg: &SweepCfg, total_events: u64) {
+    /// Capture run of the checkpointed engine: one traced crash-free
+    /// execution that takes pool snapshots at operation boundaries. Must
+    /// run before [`CaseRunner::run_point_checkpointed`].
+    fn prepare(&self, total_events: u64) {
         // ~√E events between checkpoints: replay cost per point drops from
         // O(E) to O(√E) while the capture keeps only O(√E) snapshots.
         let interval = ((total_events as f64).sqrt().ceil() as u64).max(4);
-        let (pool, sub, ctx) = (self.build)(true);
-        pool.trace_clear();
+        let (pool, sub, ctx) = self.fresh(true);
         let progress = Cell::new((0, false));
         let responses = RefCell::new(Vec::new());
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
@@ -1583,7 +756,7 @@ where
             "capture run diverged from the count run"
         );
         pool.set_trace_enabled(false); // replays run dark unless asked
-        *self.replay.borrow_mut() = Some(ReplayState {
+        *self.capture.borrow_mut() = Some(ReplayState {
             pool,
             sub,
             ctx,
@@ -1592,17 +765,46 @@ where
         });
     }
 
-    fn run_point(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome {
-        self.run_point_impl(cfg, k, traced).0
+    /// Scratch engine: rebuild the structure, replay the whole script.
+    /// Replays also return the pre-crash event stream when traced
+    /// (paranoia input).
+    fn run_point(&self, cfg: &SweepCfg, k: u64, traced: bool) -> (PointOutcome, Vec<Event>) {
+        let (pool, sub, ctx) = self.fresh(traced);
+        self.replay(cfg, k, traced, (&pool, &sub, &ctx), 0, k, Vec::new())
     }
 
-    fn run_point_checkpointed(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome {
-        self.run_point_ckpt_impl(cfg, k, traced).0
+    /// Checkpointed engine: restore the nearest checkpoint at or before
+    /// `k`, rebase the crash countdown to it, replay only the remaining
+    /// operations.
+    fn run_point_checkpointed(
+        &self,
+        cfg: &SweepCfg,
+        k: u64,
+        traced: bool,
+    ) -> (PointOutcome, Vec<Event>) {
+        let guard = self.capture.borrow();
+        let st = guard
+            .as_ref()
+            .expect("prepare() must run before a checkpointed replay");
+        let cp = &st.checkpoints[st.checkpoints.partition_point(|c| c.events <= k) - 1];
+        st.pool.restore(&cp.snap);
+        st.pool.set_trace_enabled(traced);
+        self.replay(
+            cfg,
+            k,
+            traced,
+            (&st.pool, &st.sub, &st.ctx),
+            cp.op_idx,
+            k - cp.events,
+            st.responses[..cp.op_idx].to_vec(),
+        )
     }
 
+    /// Re-runs point `k` traced under *both* engines; `Some(detail)` when
+    /// their verdicts or pre-crash event streams diverge.
     fn paranoia_check(&self, cfg: &SweepCfg, k: u64) -> Option<String> {
-        let (s, s_ev) = self.run_point_impl(cfg, k, true);
-        let (c, c_ev) = self.run_point_ckpt_impl(cfg, k, true);
+        let (s, s_ev) = self.run_point(cfg, k, true);
+        let (c, c_ev) = self.run_point_checkpointed(cfg, k, true);
         let sv = (s.crashed, s.op_index, s.detect_ok, s.durable_ok);
         let cv = (c.crashed, c.op_index, c.detect_ok, c.durable_ok);
         if sv != cv {
@@ -1624,6 +826,111 @@ where
             ));
         }
         None
+    }
+
+    /// The sweep proper: count, capture, replay every selected point,
+    /// minimize the first failure.
+    fn sweep(&self, cfg: &SweepCfg, label: String) -> SweepReport {
+        // A pool too small for the crash-free script is a configuration
+        // problem, not a crash-consistency finding: classify it as one
+        // `exhausted` violation carrying the pool's actionable capacity
+        // message instead of letting the panic kill the whole matrix.
+        // The sweep then has no points to run and no failure to minimize.
+        let counted =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.count_events()));
+        let (total_events, mut violations) = match counted {
+            Ok(n) => (n, Vec::new()),
+            Err(p) => {
+                let note = format!(
+                    "pool exhausted during the crash-free count run: {}",
+                    exhaustion(p)
+                );
+                let out = PointOutcome {
+                    exhausted: true,
+                    note,
+                    ..PointOutcome::at(0, 0, String::new())
+                };
+                (0, vec![out])
+            }
+        };
+        if cfg.checkpoint && total_events > 0 {
+            self.prepare(total_events);
+        }
+        let mut csv = Csv::new(&label, SWEEP_CSV_COLUMNS);
+        let (mut points_run, mut points_skipped) = (0u64, 0u64);
+        let mut paranoia_checked = 0u64;
+        let mut recrash_checked = 0u64;
+        for k in 0..total_events {
+            let in_shard = cfg.shard_count <= 1 || k % cfg.shard_count == cfg.shard_index;
+            if !in_shard || (cfg.sample < 1.0 && !sampled(cfg.seed, k, cfg.sample)) {
+                points_skipped += 1;
+                continue;
+            }
+            let (p, _) = if cfg.checkpoint {
+                self.run_point_checkpointed(cfg, k, false)
+            } else {
+                self.run_point(cfg, k, false)
+            };
+            if cfg.checkpoint
+                && cfg.paranoia > 0.0
+                && sampled(cfg.seed ^ PARANOIA_SALT, k, cfg.paranoia)
+            {
+                paranoia_checked += 1;
+                if let Some(err) = self.paranoia_check(cfg, k) {
+                    violations.push(PointOutcome {
+                        crashed: p.crashed,
+                        detect_ok: false,
+                        durable_ok: p.durable_ok,
+                        exhausted: p.exhausted,
+                        note: format!("paranoia: {err}"),
+                        ..PointOutcome::at(k, p.op_index, p.op.clone())
+                    });
+                }
+            }
+            csv.push(&[
+                k.to_string(),
+                p.op_index.to_string(),
+                p.op.clone(),
+                p.crashed.to_string(),
+                p.detect_ok.to_string(),
+                p.durable_ok.to_string(),
+                csv_escape(&p.note),
+            ]);
+            points_run += 1;
+            recrash_checked += p.recrash_points;
+            if !p.ok() {
+                violations.push(p);
+            }
+        }
+        let first_failure = violations
+            .first()
+            .filter(|_| total_events > 0)
+            .map(|worst| {
+                let (traced, _) = self.run_point(cfg, worst.k, true);
+                FailureReport {
+                    k: worst.k,
+                    op_index: worst.op_index,
+                    op: worst.op.clone(),
+                    detail: if worst.note.is_empty() {
+                        "replay diverged".into()
+                    } else {
+                        worst.note.clone()
+                    },
+                    trace_tail: traced.trace_tail,
+                }
+            });
+        SweepReport {
+            cfg: cfg.clone(),
+            label,
+            total_events,
+            points_run,
+            points_skipped,
+            paranoia_checked,
+            recrash_checked,
+            violations,
+            first_failure,
+            csv,
+        }
     }
 }
 
@@ -1664,79 +971,6 @@ fn render_tail(pool: &PmemPool, events: &[Event], n: usize) -> Vec<String> {
         .collect()
 }
 
-fn make_case(cfg: &SweepCfg) -> Box<dyn Case> {
-    let c = cfg.clone();
-    match cfg.structure {
-        StructureKind::List | StructureKind::Bst => Box::new(CaseRunner::new(
-            set_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                let algo = build(c.algo, pool.clone(), SWEEP_THREADS, SET_KEYS + 4);
-                pool.register_site_names(algo.sites());
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, SetSubject { algo }, ctx)
-            },
-        )),
-        StructureKind::Queue if cfg.algo == AlgoKind::TrackingComb => Box::new(CaseRunner::new(
-            queue_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let q = CombiningQueue::new(pool.clone(), 0, SWEEP_THREADS);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, CombQueueSubject { q }, ctx)
-            },
-        )),
-        StructureKind::Queue => Box::new(CaseRunner::new(
-            queue_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let q = RecoverableQueue::new(pool.clone(), 0);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, QueueSubject { q }, ctx)
-            },
-        )),
-        StructureKind::Stack if cfg.algo == AlgoKind::TrackingComb => Box::new(CaseRunner::new(
-            stack_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let s = CombiningStack::new(pool.clone(), 0, SWEEP_THREADS);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, CombStackSubject { s }, ctx)
-            },
-        )),
-        StructureKind::Stack => Box::new(CaseRunner::new(
-            stack_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let s = RecoverableStack::new(pool.clone(), 0);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, StackSubject { s }, ctx)
-            },
-        )),
-        StructureKind::Exchanger => Box::new(CaseRunner::new(vec![101, 202], move |traced| {
-            let pool = pool_for(&c, traced);
-            pool.register_site_names(&tracking::sites::SITES);
-            let x = RecoverableExchanger::new(pool.clone(), 0);
-            let ctx = ThreadCtx::new(pool.clone(), 0);
-            (pool, ExchangerSubject { x }, ctx)
-        })),
-        StructureKind::Hashmap => Box::new(CaseRunner::new(
-            map_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, HashmapSubject { m }, ctx)
-            },
-        )),
-    }
-}
-
 pub(crate) fn file_slug(s: &str) -> String {
     s.chars()
         .map(|ch| {
@@ -1774,7 +1008,7 @@ pub fn run_sweep(cfg: &SweepCfg) -> SweepReport {
         cfg.structure.name(),
         file_slug(cfg.algo.name())
     );
-    run_sweep_case(cfg, make_case(cfg), label)
+    build_case(&case_cfg(cfg, false), Sweep { cfg, label })
 }
 
 /// Sweeps the allocator itself (the `PallocSubject` script): forces a reclaim
@@ -1785,132 +1019,11 @@ pub fn run_palloc_sweep(cfg: &SweepCfg) -> SweepReport {
         reclaim: true,
         ..cfg.clone()
     };
-    let case = make_palloc_case(&cfg);
     let label = format!(
         "{}churn_palloc",
         if cfg.multi_crash > 0 { "recrash_" } else { "" }
     );
-    run_sweep_case(&cfg, case, label)
-}
-
-fn run_sweep_case(cfg: &SweepCfg, case: Box<dyn Case>, label: String) -> SweepReport {
-    // A pool too small for the crash-free script is a configuration
-    // problem, not a crash-consistency finding: classify it as one
-    // `exhausted` violation carrying the pool's actionable capacity
-    // message instead of letting the panic kill the whole matrix.
-    let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case.count_events(cfg)));
-    let total_events = match counted {
-        Ok(n) => n,
-        Err(p) => {
-            let Some(msg) = pmem::exhaustion_message(p.as_ref()) else {
-                std::panic::resume_unwind(p);
-            };
-            let out = PointOutcome {
-                k: 0,
-                op_index: 0,
-                op: String::new(),
-                crashed: false,
-                detect_ok: true,
-                durable_ok: true,
-                exhausted: true,
-                note: format!("pool exhausted during the crash-free count run: {msg}"),
-                recrash_points: 0,
-                trace_tail: Vec::new(),
-            };
-            return SweepReport {
-                cfg: cfg.clone(),
-                label: label.clone(),
-                total_events: 0,
-                points_run: 0,
-                points_skipped: 0,
-                paranoia_checked: 0,
-                recrash_checked: 0,
-                violations: vec![out],
-                first_failure: None,
-                csv: Csv::new(&label, SWEEP_CSV_COLUMNS),
-            };
-        }
-    };
-    if cfg.checkpoint {
-        case.prepare(cfg, total_events);
-    }
-    let mut csv = Csv::new(&label, SWEEP_CSV_COLUMNS);
-    let mut violations = Vec::new();
-    let (mut points_run, mut points_skipped) = (0u64, 0u64);
-    let mut paranoia_checked = 0u64;
-    let mut recrash_checked = 0u64;
-    for k in 0..total_events {
-        let in_shard = cfg.shard_count <= 1 || k % cfg.shard_count == cfg.shard_index;
-        if !in_shard || (cfg.sample < 1.0 && !sampled(cfg.seed, k, cfg.sample)) {
-            points_skipped += 1;
-            continue;
-        }
-        let p = if cfg.checkpoint {
-            case.run_point_checkpointed(cfg, k, false)
-        } else {
-            case.run_point(cfg, k, false)
-        };
-        if cfg.checkpoint
-            && cfg.paranoia > 0.0
-            && sampled(cfg.seed ^ PARANOIA_SALT, k, cfg.paranoia)
-        {
-            paranoia_checked += 1;
-            if let Some(err) = case.paranoia_check(cfg, k) {
-                violations.push(PointOutcome {
-                    k,
-                    op_index: p.op_index,
-                    op: p.op.clone(),
-                    crashed: p.crashed,
-                    detect_ok: false,
-                    durable_ok: p.durable_ok,
-                    exhausted: p.exhausted,
-                    note: format!("paranoia: {err}"),
-                    recrash_points: 0,
-                    trace_tail: Vec::new(),
-                });
-            }
-        }
-        csv.push(&[
-            k.to_string(),
-            p.op_index.to_string(),
-            p.op.clone(),
-            p.crashed.to_string(),
-            p.detect_ok.to_string(),
-            p.durable_ok.to_string(),
-            csv_escape(&p.note),
-        ]);
-        points_run += 1;
-        recrash_checked += p.recrash_points;
-        if !p.ok() {
-            violations.push(p);
-        }
-    }
-    let first_failure = violations.first().map(|worst| {
-        let traced = case.run_point(cfg, worst.k, true);
-        FailureReport {
-            k: worst.k,
-            op_index: worst.op_index,
-            op: worst.op.clone(),
-            detail: if worst.note.is_empty() {
-                "replay diverged".into()
-            } else {
-                worst.note.clone()
-            },
-            trace_tail: traced.trace_tail,
-        }
-    });
-    SweepReport {
-        cfg: cfg.clone(),
-        label,
-        total_events,
-        points_run,
-        points_skipped,
-        paranoia_checked,
-        recrash_checked,
-        violations,
-        first_failure,
-        csv,
-    }
+    build_case(&case_cfg(&cfg, true), Sweep { cfg: &cfg, label })
 }
 
 /// Keeps failure notes inside one CSV cell.
@@ -1921,6 +1034,11 @@ pub(crate) fn csv_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case::HASHMAP_SWEEP_CFG;
+    use crate::case::{map_script, queue_script, set_script, stack_script, SET_KEYS};
+    use linearize::{MapOp, SetOp};
+    use pmem::PoolCfg;
+    use tracking::RecoverableHashMap;
 
     #[test]
     fn scripts_are_deterministic_and_bounded() {
@@ -1932,8 +1050,8 @@ mod tests {
             let (SetOp::Insert(k) | SetOp::Delete(k) | SetOp::Find(k)) = op;
             assert!((1..=SET_KEYS).contains(k));
         }
-        assert_eq!(queue_script(7, 10), queue_script(7, 10));
-        assert_eq!(stack_script(7, 10), stack_script(7, 10));
+        assert_eq!(queue_script(7, 100, 10), queue_script(7, 100, 10));
+        assert_eq!(stack_script(7, 200, 10), stack_script(7, 200, 10));
     }
 
     #[test]
@@ -1942,7 +1060,7 @@ mod tests {
         // its counted event space covers a full resize; this guards the
         // claim — the pinned script against the aggressive sweep config
         // must grow the table past its initial two buckets.
-        let script = map_script(0xDECA_FBAD, 24);
+        let script = map_script(0xDECA_FBAD, 24, 5, 100);
         let pool = std::sync::Arc::new(PmemPool::new(PoolCfg::model(4 << 20)));
         let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
         let ctx = ThreadCtx::new(pool, 0);
@@ -2004,8 +1122,20 @@ mod tests {
     fn traced_rerun_renders_a_site_attributed_window() {
         let mut cfg = SweepCfg::new(StructureKind::Exchanger, AlgoKind::Tracking);
         cfg.pool_bytes = 4 << 20;
-        let case = make_case(&cfg);
-        let p = case.run_point(&cfg, 5, true);
+        /// Replays point `k` of the case, traced, on the scratch engine.
+        struct TracedPoint<'a>(&'a SweepCfg, u64);
+        impl CaseVisitor for TracedPoint<'_> {
+            type Out = PointOutcome;
+            fn visit<Sub: CrashSubject>(
+                self,
+                mut scripts: Vec<Vec<Op<Sub>>>,
+                build: impl Fn(bool) -> (Arc<PmemPool>, Sub) + 'static,
+            ) -> PointOutcome {
+                let runner = CaseRunner::new(scripts.remove(0), build);
+                runner.run_point(self.0, self.1, true).0
+            }
+        }
+        let p = build_case(&case_cfg(&cfg, false), TracedPoint(&cfg, 5));
         assert!(p.crashed);
         assert!(!p.trace_tail.is_empty(), "traced rerun must keep a window");
         assert!(
