@@ -120,6 +120,7 @@ results/explore-flushopt/explore_list_capsules_t4.csv        explore --flushopt 
 '
 
 cargo build --release --locked -q -p bench --bin crashsweep --bin explore
+bin_dir="${CARGO_TARGET_DIR:-target}/release"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -133,7 +134,7 @@ while read -r file bin args; do
     if [ -z "${outdir[$key]:-}" ]; then
         n=$((n + 1))
         outdir[$key]="$tmp/$n"
-        if ! "./target/release/$bin" $args --out "$tmp/$n" >"$tmp/$n.log" 2>&1; then
+        if ! "$bin_dir/$bin" $args --out "$tmp/$n" >"$tmp/$n.log" 2>&1; then
             echo "FAIL: '$key' exited non-zero (log below)"
             cat "$tmp/$n.log"
             fail=1
