@@ -125,9 +125,12 @@ fn eff_status(m: u64, epoch: u64) -> u64 {
 pub(crate) const BUF_CAP: usize = 8;
 
 /// Thread slots for the combining buffers, mirroring the trace's ring
-/// count. Slots are indexed by `trace_tid() % N_SLOTS`; a collision (more
-/// live threads than slots) merely shares a buffer, which is sound — any
-/// real fence drains every occupied slot — just less private.
+/// count. Slots are indexed by the deferring thread's logical id (the
+/// [`crate::ThreadCtx`] tid it bound on the pool) `% N_SLOTS`, so a drain's
+/// slot order depends only on logical ids, never on process history. A
+/// collision (threads sharing an id modulo `N_SLOTS`, or several threads
+/// that never bound one) merely shares a buffer, which is sound — any real
+/// fence drains every occupied slot — just less private.
 const N_SLOTS: usize = 64;
 
 /// One thread's combining buffer: a fixed array of deferred
@@ -188,6 +191,9 @@ static NEXT_FLUSHOPT_ID: AtomicU64 = AtomicU64::new(1);
 pub(crate) struct FlushOpt {
     /// Process-unique id keying the thread-local region-depth map.
     id: u64,
+    /// The owning pool's trace uid: the key of the logical thread id that
+    /// picks a thread's slot.
+    pool_uid: u64,
     /// Packed per-line state (see the bit layout above); index = cache
     /// line.
     meta: Box<[AtomicU64]>,
@@ -225,9 +231,10 @@ pub(crate) struct FlushOptSnap {
 }
 
 impl FlushOpt {
-    pub(crate) fn new(nlines: usize) -> Self {
+    pub(crate) fn new(nlines: usize, pool_uid: u64) -> Self {
         FlushOpt {
             id: NEXT_FLUSHOPT_ID.fetch_add(1, Ordering::Relaxed),
+            pool_uid,
             meta: crate::pool::alloc_zeroed_atomics(nlines),
             fence_epoch: AtomicU64::new(0),
             unfenced: AtomicU64::new(0),
@@ -240,6 +247,11 @@ impl FlushOpt {
                 .collect(),
             journal: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The calling thread's combining-buffer slot.
+    fn my_slot(&self) -> usize {
+        crate::trace::logical_tid(self.pool_uid) % N_SLOTS
     }
 
     /// First touch of `line`: adds it to the journal.
@@ -292,8 +304,8 @@ impl FlushOpt {
             FO_FLUSHED | FO_CLEAN => FlushDecision::Elide,
             // Dirty or unknown: park it in the combining buffer.
             _ => {
-                let slot = &self.slots[crate::trace::trace_tid() % N_SLOTS];
-                let mut buf = lock(&slot.buf);
+                let slot = self.my_slot();
+                let mut buf = lock(&self.slots[slot].buf);
                 if buf.entries[..buf.len].iter().any(|&(l, _)| l == line) {
                     return FlushDecision::Coalesced;
                 }
@@ -308,10 +320,7 @@ impl FlushOpt {
                 // drain can never observe the entry without the counter
                 // (which would transiently underflow `deferred`).
                 if n == 0 {
-                    self.occupied.fetch_or(
-                        1 << (crate::trace::trace_tid() % N_SLOTS),
-                        Ordering::Relaxed,
-                    );
+                    self.occupied.fetch_or(1 << slot, Ordering::Relaxed);
                 }
                 self.deferred.fetch_add(1, Ordering::Relaxed);
                 FlushDecision::Deferred
@@ -502,15 +511,15 @@ impl FlushOpt {
         drop(journal);
         self.unfenced.store(snap.unfenced, Ordering::Relaxed);
         if !snap.deferred.is_empty() {
-            let tid = crate::trace::trace_tid() % N_SLOTS;
-            let mut buf = lock(&self.slots[tid].buf);
+            let slot = self.my_slot();
+            let mut buf = lock(&self.slots[slot].buf);
             for (i, &e) in snap.deferred.iter().take(BUF_CAP).enumerate() {
                 buf.entries[i] = e;
             }
             buf.len = snap.deferred.len().min(BUF_CAP);
             let n = buf.len;
             drop(buf);
-            self.occupied.fetch_or(1 << tid, Ordering::Relaxed);
+            self.occupied.fetch_or(1 << slot, Ordering::Relaxed);
             self.deferred.store(n, Ordering::Relaxed);
         }
     }
@@ -521,7 +530,7 @@ mod tests {
     use super::*;
 
     fn fo() -> FlushOpt {
-        FlushOpt::new(64)
+        FlushOpt::new(64, 0)
     }
 
     fn decide(f: &FlushOpt, line: usize) -> FlushDecision {

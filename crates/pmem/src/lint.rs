@@ -112,7 +112,9 @@ pub struct Diagnostic {
     /// [`LintKind::UnflushedDirty`] and [`LintKind::UnfencedPublish`]
     /// ([`NO_SITE`] when the store was issued without attribution).
     pub site: u8,
-    /// Trace index of the thread that triggered the finding.
+    /// Logical thread id (the [`crate::ThreadCtx`] tid bound on the pool)
+    /// of the thread that triggered the finding, as in
+    /// [`crate::Event::tid`].
     pub tid: usize,
     /// Global event sequence number at detection time.
     pub seq: u64,
@@ -274,6 +276,9 @@ fn eff_status(m: u64, epoch: u64) -> u64 {
 /// The live checker owned by a pool (see module docs).
 pub(crate) struct FlushLint {
     enabled: AtomicBool,
+    /// The owning pool's trace uid: the key of the logical thread id the
+    /// lint's own attributions record.
+    pool_uid: u64,
     /// Packed per-line state (see the bit layout above); index = cache
     /// line. Lazily zero-mapped, so an untouched multi-GiB pool costs
     /// nothing.
@@ -300,9 +305,10 @@ pub(crate) struct FlushLint {
 }
 
 impl FlushLint {
-    pub(crate) fn new(enabled: bool, nlines: usize) -> Self {
+    pub(crate) fn new(enabled: bool, nlines: usize, pool_uid: u64) -> Self {
         FlushLint {
             enabled: AtomicBool::new(enabled),
+            pool_uid,
             meta: crate::pool::alloc_zeroed_atomics(nlines),
             store_seq: crate::pool::alloc_zeroed_atomics(nlines),
             fence_epoch: AtomicU64::new(0),
@@ -455,7 +461,12 @@ impl FlushLint {
                     // Off the hot path (a line is untracked at most once
                     // per crash interval), so resolving the thread id here
                     // keeps the common flush free of thread-local lookups.
-                    let new = pack_meta(ST_FLUSHED, NO_SITE, crate::trace::trace_tid(), epoch);
+                    let new = pack_meta(
+                        ST_FLUSHED,
+                        NO_SITE,
+                        crate::trace::logical_tid(self.pool_uid),
+                        epoch,
+                    );
                     match m.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
                         Ok(_) => {
                             self.store_seq[line].store(seq, Ordering::Relaxed);
@@ -480,7 +491,7 @@ impl FlushLint {
                             kind: LintKind::RedundantPwb,
                             line,
                             site: site.0,
-                            tid: crate::trace::trace_tid(),
+                            tid: crate::trace::logical_tid(self.pool_uid),
                             seq,
                         });
                         self.touch();
@@ -511,7 +522,7 @@ impl FlushLint {
                 kind: LintKind::ElidedDirtyPwb,
                 line,
                 site: site.0,
-                tid: crate::trace::trace_tid(),
+                tid: crate::trace::logical_tid(self.pool_uid),
                 seq: self.store_seq[line].load(Ordering::Relaxed),
             });
             self.touch();
@@ -708,7 +719,7 @@ mod tests {
     use super::*;
 
     fn lint() -> FlushLint {
-        FlushLint::new(true, 64)
+        FlushLint::new(true, 64, 0)
     }
 
     #[test]
@@ -865,7 +876,7 @@ mod tests {
 
     #[test]
     fn disabled_lint_tracks_state_but_records_nothing() {
-        let l = FlushLint::new(false, 64);
+        let l = FlushLint::new(false, 64, 0);
         l.on_write(5, NO_SITE, 0, 0);
         l.on_pwb(5, SiteId(0), 1);
         l.on_pwb(5, SiteId(0), 2); // would be redundant

@@ -167,8 +167,10 @@ thread_local! {
 /// `uid`: the `tid` of the [`crate::ThreadCtx`] it most recently built for
 /// that pool, or 0 if it built none. Unlike [`trace_tid`] it depends only
 /// on what the thread itself did, never on how many other threads of the
-/// process touched a pool first.
-fn logical_tid(uid: u64) -> usize {
+/// process touched a pool first. The lint's diagnostics and the
+/// flush-elision slots key by it too, so both stay independent of process
+/// history.
+pub(crate) fn logical_tid(uid: u64) -> usize {
     match LOGICAL_TID.get() {
         (bound, tid) if bound == uid => tid,
         _ => 0,
@@ -177,10 +179,10 @@ fn logical_tid(uid: u64) -> usize {
 
 /// Process-wide small dense integer identifying the calling thread.
 /// Assigned on first use, stable for the thread's lifetime. It claims trace
-/// rings and indexes the `Stats` shards, the flush-elision slots and the
-/// lint's diagnostics; it is *not* what trace events record (that is the
-/// pool-local [`logical_tid`]), because its value depends on the order in
-/// which the process's threads first touched any pool.
+/// rings and indexes the `Stats` shards; it is *not* what trace events, lint
+/// diagnostics or flush-elision slots use (that is the pool-local
+/// [`logical_tid`]), because its value depends on the order in which the
+/// process's threads first touched any pool.
 pub(crate) fn trace_tid() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
@@ -410,6 +412,12 @@ impl Trace {
             id: AtomicU64::new(TRACE_IDS.fetch_add(1, Ordering::Relaxed)),
             uid: TRACE_IDS.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// Stable unique id of this trace instance: the key of the calling
+    /// thread's [`logical_tid`] binding on the owning pool.
+    pub(crate) fn uid(&self) -> u64 {
+        self.uid
     }
 
     /// Makes `tid` the logical thread id the calling thread's events carry

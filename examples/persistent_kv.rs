@@ -17,12 +17,17 @@
 //!
 //! 2. **Recovery at scale (perf).** Loads the table to several sizes in a
 //!    real-flush pool, "reboots", and measures time-to-first-serve: how
-//!    long until a fresh process handle answers its first `get`. The
-//!    Tracking table needs no log replay or scan — recovery is
-//!    re-attaching to the root and finishing at most one op per thread —
-//!    so the number stays flat while a full-scan rebuild strawman (what a
-//!    non-recoverable index must do) grows linearly with the data. Results
-//!    land in `results/recovery_at_scale.csv`.
+//!    long from the quiescent pool until a fresh process handle has run
+//!    allocator recovery and answered its first `get`. Each scale runs
+//!    twice: on the paper's bump arena and on a `reclaim` pool whose free
+//!    lists hold every resize-retired sentinel, drained before the reboot.
+//!    Neither needs a log replay or scan — the allocator resolves at most
+//!    two cursors per thread and reads one recorded length per free list,
+//!    and the Tracking table re-attaches to its root and finishes at most
+//!    one op per thread — so the number stays flat while a full-scan
+//!    rebuild strawman (what a non-recoverable index must do) grows
+//!    linearly with the data. Results land in
+//!    `results/recovery_at_scale.csv`.
 //!
 //! ```text
 //! cargo run --release -p examples --bin persistent_kv [-- --smoke]
@@ -200,19 +205,22 @@ fn self_destruct(pool: &Arc<PmemPool>, svc: Service, key: u64, val: u64, r: u64)
 struct ScaleRow {
     keys: usize,
     pool_mb: usize,
+    reclaim: bool,
     buckets: u64,
+    free_blocks: usize,
     load_ms: f64,
     first_serve_us: f64,
     rebuild_ms: f64,
 }
 
-/// Loads the table at several scales in a real-flush pool and measures
-/// time-to-first-serve after a reboot against a full-scan strawman.
+/// Loads the table at several scales in a real-flush pool, with and
+/// without the free-list allocator, and measures time-to-first-serve after
+/// a reboot against a full-scan strawman.
 fn recovery_at_scale(smoke: bool) {
-    // Pool sizes track the sentinel ladder: every resize generation keeps
-    // its head/tail sentinel lines allocated (reclaimable on churn pools;
-    // this phase uses the paper's pure bump arena), so the pool must hold
-    // roughly two full bucket arrays of sentinels plus the live nodes.
+    // Pool sizes track the sentinel ladder: on the bump arena every resize
+    // generation keeps its head/tail sentinel lines allocated, so the pool
+    // must hold roughly two full bucket arrays of sentinels plus the live
+    // nodes. A `reclaim` pool retires them instead, so the same size fits.
     let scales: &[(usize, usize)] = if smoke {
         &[(5_000, 64), (20_000, 128), (80_000, 256)]
     } else {
@@ -222,60 +230,90 @@ fn recovery_at_scale(smoke: bool) {
     println!("recovery at scale ({} scales):", scales.len());
     let mut rows = Vec::new();
     for &(keys, pool_mb) in scales {
-        let pool = Arc::new(PmemPool::new(PoolCfg::perf(pool_mb << 20)));
-
-        // Load phase: distinct keys, values derived from the key. The
-        // table doubles through many resize generations on the way up.
-        let loader = Service::boot(pool.clone());
-        let start = Instant::now();
-        for k in 1..=keys as u64 {
-            loader.index.put(&loader.ctx, k, k * 3 + 1);
+        for reclaim in [false, true] {
+            rows.push(scale_row(keys, pool_mb, reclaim));
         }
-        let load_ms = start.elapsed().as_secs_f64() * 1e3;
-        let buckets = loader.index.bucket_count();
-        drop(loader);
-
-        // Reboot: time until a fresh handle answers its first get.
-        // Recovery for the Tracking table is re-attaching to the root and
-        // (per thread) finishing at most one in-flight op — no scan.
-        let start = Instant::now();
-        let rebooted = Service::boot(pool.clone());
-        let probe = rebooted.index.get(&rebooted.ctx, keys as u64 / 2 + 1);
-        let first_serve_us = start.elapsed().as_secs_f64() * 1e6;
-        assert_eq!(probe, Some((keys as u64 / 2 + 1) * 3 + 1));
-
-        // Strawman: what a non-recoverable index must do after a crash —
-        // walk everything durable and rebuild a transient map.
-        let start = Instant::now();
-        let rebuilt: std::collections::HashMap<u64, u64> =
-            rebooted.index.entries().into_iter().collect();
-        let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(rebuilt.len(), keys);
-
-        println!(
-            "  {keys:>7} keys / {buckets:>6} buckets (pool {pool_mb:>4} MiB): \
-             load {load_ms:>8.1} ms, first-serve {first_serve_us:>7.1} us, \
-             full-scan rebuild {rebuild_ms:>8.1} ms"
-        );
-        rows.push(ScaleRow {
-            keys,
-            pool_mb,
-            buckets,
-            load_ms,
-            first_serve_us,
-            rebuild_ms,
-        });
     }
 
-    let mut csv = String::from("keys,pool_mb,buckets,load_ms,first_serve_us,rebuild_ms\n");
+    let mut csv = String::from(
+        "keys,pool_mb,reclaim,buckets,free_blocks,load_ms,first_serve_us,rebuild_ms\n",
+    );
     for r in &rows {
         csv.push_str(&format!(
-            "{},{},{},{:.3},{:.3},{:.3}\n",
-            r.keys, r.pool_mb, r.buckets, r.load_ms, r.first_serve_us, r.rebuild_ms
+            "{},{},{},{},{},{:.3},{:.3},{:.3}\n",
+            r.keys,
+            r.pool_mb,
+            r.reclaim,
+            r.buckets,
+            r.free_blocks,
+            r.load_ms,
+            r.first_serve_us,
+            r.rebuild_ms
         ));
     }
     std::fs::create_dir_all("results").expect("creating results/");
     let path = "results/recovery_at_scale.csv";
     std::fs::write(path, csv).expect("writing recovery CSV");
     println!("  -> {path}");
+}
+
+/// One scale point: load `keys` keys into a fresh pool, reboot, and time
+/// the first serve and the strawman rebuild.
+fn scale_row(keys: usize, pool_mb: usize, reclaim: bool) -> ScaleRow {
+    let pool = Arc::new(PmemPool::new(PoolCfg {
+        reclaim,
+        ..PoolCfg::perf(pool_mb << 20)
+    }));
+
+    // Load phase: distinct keys, values derived from the key. The table
+    // doubles through many resize generations on the way up.
+    let loader = Service::boot(pool.clone());
+    let start = Instant::now();
+    for k in 1..=keys as u64 {
+        loader.index.put(&loader.ctx, k, k * 3 + 1);
+    }
+    let load_ms = start.elapsed().as_secs_f64() * 1e3;
+    let buckets = loader.index.bucket_count();
+    drop(loader);
+    // A quiescent point: the sentinels retired by the resizes move onto
+    // the free lists (a no-op on the bump arena).
+    pool.palloc_drain_all();
+    let free_blocks = pool.palloc_free_blocks().len();
+
+    // Reboot: time from the quiescent pool until a fresh handle answers
+    // its first get. Allocator recovery resolves at most two cursors per
+    // thread and reads one recorded length per free list; the Tracking
+    // table re-attaches to the root and (per thread) finishes at most one
+    // in-flight op. Neither scans.
+    let start = Instant::now();
+    pool.recover_allocator();
+    let rebooted = Service::boot(pool.clone());
+    let probe = rebooted.index.get(&rebooted.ctx, keys as u64 / 2 + 1);
+    let first_serve_us = start.elapsed().as_secs_f64() * 1e6;
+    assert_eq!(probe, Some((keys as u64 / 2 + 1) * 3 + 1));
+
+    // Strawman: what a non-recoverable index must do after a crash — walk
+    // everything durable and rebuild a transient map.
+    let start = Instant::now();
+    let rebuilt: std::collections::HashMap<u64, u64> =
+        rebooted.index.entries().into_iter().collect();
+    let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(rebuilt.len(), keys);
+
+    let arena = if reclaim { "reclaim" } else { "bump" };
+    println!(
+        "  {keys:>7} keys / {buckets:>7} buckets ({arena:>7} pool {pool_mb:>4} MiB, \
+         {free_blocks:>7} free blocks): load {load_ms:>8.1} ms, \
+         first-serve {first_serve_us:>7.1} us, full-scan rebuild {rebuild_ms:>8.1} ms"
+    );
+    ScaleRow {
+        keys,
+        pool_mb,
+        reclaim,
+        buckets,
+        free_blocks,
+        load_ms,
+        first_serve_us,
+        rebuild_ms,
+    }
 }
