@@ -234,8 +234,9 @@ fn lock_foot(m: &Mutex<Footprint>) -> MutexGuard<'_, Footprint> {
 impl PmemPool {
     /// Creates a pool per `cfg`. Layout: line 0 reserved (null), then
     /// [`NUM_ROOTS`] root lines, then `cfg.max_threads` recovery lines,
-    /// then (with [`PoolCfg::reclaim`]) `cfg.max_threads` allocator
-    /// metadata lines, then the allocatable heap.
+    /// then (with [`PoolCfg::reclaim`]) `2 × cfg.max_threads` allocator
+    /// metadata lines (one allocation line, then one limbo line, per
+    /// thread), then the allocatable heap.
     ///
     /// # Panics
     /// With [`PoolCfg::reclaim`], if the pool would span more than
@@ -246,7 +247,7 @@ impl PmemPool {
         let palloc_base = recovery_base + cfg.max_threads * WORDS_PER_LINE;
         let heap_base = palloc_base
             + if cfg.reclaim {
-                cfg.max_threads * WORDS_PER_LINE
+                2 * cfg.max_threads * WORDS_PER_LINE
             } else {
                 0
             };
@@ -341,8 +342,8 @@ impl PmemPool {
     /// reuse is ruled out by construction. On a pool built **with**
     /// `reclaim`, [`Self::palloc_lines`] layers per-size-class free lists
     /// on top of this arena and *does* re-issue retired addresses — but
-    /// only after a full epoch quiescence ([`Self::palloc_drain`] moves
-    /// blocks from limbo to the free lists solely at quiescent points, and
+    /// only after a full epoch quiescence ([`Self::palloc_drain`] splices
+    /// limbo lists onto the free lists solely at quiescent points, and
     /// a debug assertion in the pop path checks that no still-retired
     /// address is ever handed out). The bump pointer lives outside pmem but
     /// is monotone, which is equivalent to persisting the watermark on
