@@ -26,8 +26,10 @@
 //!    and the Tracking table re-attaches to its root and finishes at most
 //!    one op per thread — so the number stays flat while a full-scan
 //!    rebuild strawman (what a non-recoverable index must do) grows
-//!    linearly with the data. Results land in
-//!    `results/recovery_at_scale.csv`.
+//!    linearly with the data. Each row also counts the minor page faults
+//!    the load phase took (`load_minflt`, blank off Linux), so a change in
+//!    load time can be told apart from a change in page faulting. Results
+//!    land in `results/recovery_at_scale.csv`.
 //!
 //! ```text
 //! cargo run --release -p examples --bin persistent_kv [-- --smoke]
@@ -209,6 +211,8 @@ struct ScaleRow {
     buckets: u64,
     free_blocks: usize,
     load_ms: f64,
+    /// Minor page faults taken during the load phase (`None` off Linux).
+    load_minflt: Option<u64>,
     first_serve_us: f64,
     rebuild_ms: f64,
 }
@@ -236,17 +240,18 @@ fn recovery_at_scale(smoke: bool) {
     }
 
     let mut csv = String::from(
-        "keys,pool_mb,reclaim,buckets,free_blocks,load_ms,first_serve_us,rebuild_ms\n",
+        "keys,pool_mb,reclaim,buckets,free_blocks,load_ms,load_minflt,first_serve_us,rebuild_ms\n",
     );
     for r in &rows {
         csv.push_str(&format!(
-            "{},{},{},{},{},{:.3},{:.3},{:.3}\n",
+            "{},{},{},{},{},{:.3},{},{:.3},{:.3}\n",
             r.keys,
             r.pool_mb,
             r.reclaim,
             r.buckets,
             r.free_blocks,
             r.load_ms,
+            r.load_minflt.map_or(String::new(), |f| f.to_string()),
             r.first_serve_us,
             r.rebuild_ms
         ));
@@ -268,11 +273,13 @@ fn scale_row(keys: usize, pool_mb: usize, reclaim: bool) -> ScaleRow {
     // Load phase: distinct keys, values derived from the key. The table
     // doubles through many resize generations on the way up.
     let loader = Service::boot(pool.clone());
+    let faults_before = minor_faults();
     let start = Instant::now();
     for k in 1..=keys as u64 {
         loader.index.put(&loader.ctx, k, k * 3 + 1);
     }
     let load_ms = start.elapsed().as_secs_f64() * 1e3;
+    let load_minflt = minor_faults().zip(faults_before).map(|(a, b)| a - b);
     let buckets = loader.index.bucket_count();
     drop(loader);
     // A quiescent point: the sentinels retired by the resizes move onto
@@ -301,10 +308,11 @@ fn scale_row(keys: usize, pool_mb: usize, reclaim: bool) -> ScaleRow {
     assert_eq!(rebuilt.len(), keys);
 
     let arena = if reclaim { "reclaim" } else { "bump" };
+    let minflt = load_minflt.map_or("-".into(), |f| f.to_string());
     println!(
         "  {keys:>7} keys / {buckets:>7} buckets ({arena:>7} pool {pool_mb:>4} MiB, \
-         {free_blocks:>7} free blocks): load {load_ms:>8.1} ms, \
-         first-serve {first_serve_us:>7.1} us, full-scan rebuild {rebuild_ms:>8.1} ms"
+         {free_blocks:>7} free blocks): load {load_ms:>8.1} ms \
+         ({minflt:>7} faults), first-serve {first_serve_us:>7.1} us, full-scan rebuild {rebuild_ms:>8.1} ms"
     );
     ScaleRow {
         keys,
@@ -313,7 +321,18 @@ fn scale_row(keys: usize, pool_mb: usize, reclaim: bool) -> ScaleRow {
         buckets,
         free_blocks,
         load_ms,
+        load_minflt,
         first_serve_us,
         rebuild_ms,
     }
+}
+
+/// Minor page faults this process has taken so far: field 10 of
+/// `/proc/self/stat`. `None` where that file does not exist (off Linux).
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 2 (the command name) is parenthesised and may hold spaces;
+    // field 3 is the first one after its closing parenthesis.
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    after_comm.split_whitespace().nth(10 - 3)?.parse().ok()
 }
