@@ -3,9 +3,10 @@
 //! comparable datapoint and regressions in the simulated substrate are
 //! visible as a trajectory rather than anecdotes.
 //!
-//! Three families of benchmarks, all single-threaded (the container exposes
-//! one core; see DESIGN §1 — multi-thread numbers here would measure the
-//! scheduler, not the algorithms):
+//! Four families of single-threaded benchmarks, each row measured by
+//! [`measure::trials`] (a warm-up, then the median and range of 5 trials on
+//! fresh pools, with every trial required to execute the same counts),
+//! plus the multi-thread thread sweep of [`crate::parallel`]:
 //!
 //! * **per-competitor list workloads** — a fixed op-count run of every
 //!   paper competitor over the sorted-list set in Perf mode
@@ -26,13 +27,16 @@
 //! The JSON schema is documented in EXPERIMENTS.md ("Performance
 //! methodology") and sanity-checked by [`validate_json`], which the CI
 //! smoke job runs against the freshly produced file.
+//! [`check_against_prev`] compares a capture with an earlier one: exact
+//! counts and the on/off ratio are gates, wall-clock trends only print, and
+//! only when both captures come from a like host.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use pmem::{Backend, PmemPool, PoolCfg, SiteId, ThreadCtx};
 
-use crate::adapter::{build, AlgoKind, StructureKind};
+use crate::adapter::{build, AlgoKind, SetAlgo, StructureKind};
+use crate::measure::{self, json_num, time_per_op, trials, Counts, Sample};
 use crate::parallel::{run_thread_sweep, ParSubject, SweepPoint};
 
 /// Schema identifier embedded in every report.
@@ -99,9 +103,13 @@ pub struct BenchRow {
     pub algo: String,
     /// Operations timed.
     pub ops: u64,
-    /// Nanoseconds per operation.
+    /// Nanoseconds per operation: the median of the trials.
     pub ns_per_op: f64,
-    /// Operations per second.
+    /// Fastest trial, ns per operation.
+    pub ns_min: f64,
+    /// Slowest trial, ns per operation.
+    pub ns_max: f64,
+    /// Operations per second, from the median.
     pub ops_per_sec: f64,
     /// Instrumented pool events per operation (from a traced Model-mode
     /// run of the same script — the crash sweep's cost currency).
@@ -149,25 +157,14 @@ pub struct BaselineReport {
     pub overhead: OverheadRow,
 }
 
-// xorshift64* — the same deterministic generator the other harnesses use.
-#[inline]
-fn next_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
 const KEY_RANGE: u64 = 64;
 const SEED: u64 = 0xBA5E_11AE;
 
 /// Drives `ops` deterministic mixed set operations (70 % find).
-fn set_loop(algo: &dyn crate::adapter::SetAlgo, ctx: &ThreadCtx, ops: u64) {
+fn set_loop(algo: &dyn SetAlgo, ctx: &ThreadCtx, ops: u64) {
     let mut rng = SEED;
     for _ in 0..ops {
-        let r = next_rng(&mut rng);
+        let r = measure::rng(&mut rng);
         let key = r % KEY_RANGE + 1;
         match (r >> 32) % 10 {
             0..=6 => std::hint::black_box(algo.find(ctx, key)),
@@ -177,82 +174,95 @@ fn set_loop(algo: &dyn crate::adapter::SetAlgo, ctx: &ThreadCtx, ops: u64) {
     }
 }
 
-fn perf_pool(bytes: usize, flushopt: bool) -> Arc<PmemPool> {
-    Arc::new(PmemPool::new(PoolCfg {
-        max_threads: 8,
-        flushopt,
-        ..PoolCfg::perf(bytes)
-    }))
-}
+/// Measures one row. `setup(pool, n)` prepares `n` operations on a fresh
+/// pool and returns them as the body to time; `tune` adjusts both pool
+/// configurations. The body is timed with [`trials`] on Perf-mode pools
+/// (real flushes, observers off) and its events are counted once on a
+/// traced Model-mode pool over `min(ops, 512)` operations — the crash
+/// sweep's cost currency.
+fn row<B: FnOnce()>(
+    name: String,
+    structure: &'static str,
+    algo: &str,
+    ops: u64,
+    tune: impl Fn(PoolCfg) -> PoolCfg,
+    setup: impl Fn(&Arc<PmemPool>, u64) -> B,
+) -> BenchRow {
+    let (ns, counts) = trials(&name, 1, |_| {
+        let pool = Arc::new(PmemPool::new(tune(PoolCfg {
+            max_threads: 8,
+            ..PoolCfg::perf(256 << 20)
+        })));
+        let body = setup(&pool, ops);
+        pool.stats_reset();
+        let ns_per_op = time_per_op(ops, body);
+        Sample {
+            ns_per_op,
+            counts: Counts::of(&pool.stats()),
+        }
+    })
+    .remove(0);
 
-fn model_pool(bytes: usize, trace: bool, flushopt: bool) -> Arc<PmemPool> {
-    Arc::new(PmemPool::new(PoolCfg {
-        trace,
+    let ev_ops = ops.min(512);
+    let tp = Arc::new(PmemPool::new(tune(PoolCfg {
+        trace: true,
         max_threads: 8,
         trace_capacity: 64, // the total counter, not the window, is used
-        flushopt,
-        ..PoolCfg::model(bytes)
-    }))
-}
-
-/// Times one per-competitor list workload and measures its event density.
-/// With `flushopt` the pools arm the flush-elision layer and the row is
-/// named `list/<Algo>+flushopt`; `pwb_per_op` then counts only the flushes
-/// that actually executed, with the elided balance in `pwb_elided_per_op`.
-fn bench_list(kind: AlgoKind, ops: u64, flushopt: bool) -> BenchRow {
-    // Timed run: Perf mode, real flushes, observers off.
-    let pool = perf_pool(256 << 20, flushopt);
-    let algo = build(kind, pool.clone(), 2, KEY_RANGE + 4);
-    let ctx = ThreadCtx::new(pool.clone(), 0);
-    let mut rng = SEED ^ 0xF00D;
-    for _ in 0..KEY_RANGE / 2 {
-        algo.insert(&ctx, next_rng(&mut rng) % KEY_RANGE + 1);
-    }
-    pool.stats_reset();
-    let t = Instant::now();
-    set_loop(&*algo, &ctx, ops);
-    let elapsed = t.elapsed();
-    let stats = pool.stats();
-
-    // Event density: a short traced Model-mode replay of the same script.
-    let ev_ops = ops.min(512);
-    let tp = model_pool(64 << 20, true, flushopt);
-    let talgo = build(kind, tp.clone(), 2, KEY_RANGE + 4);
-    let tctx = ThreadCtx::new(tp.clone(), 0);
-    let mut rng = SEED ^ 0xF00D;
-    for _ in 0..KEY_RANGE / 2 {
-        talgo.insert(&tctx, next_rng(&mut rng) % KEY_RANGE + 1);
-    }
+        ..PoolCfg::model(64 << 20)
+    })));
+    let body = setup(&tp, ev_ops);
     tp.trace_clear();
-    set_loop(&*talgo, &tctx, ev_ops);
-    let events = tp.trace_snapshot().total();
+    body();
+    let events_per_op = measure::per_op(tp.trace_snapshot().total(), ev_ops);
 
-    let ns = elapsed.as_nanos() as f64 / ops as f64;
-    let suffix = if flushopt { "+flushopt" } else { "" };
+    let per_op = counts.per_op(ops);
     BenchRow {
-        name: format!("list/{}{}", kind.name(), suffix),
-        structure: StructureKind::List.name(),
-        algo: kind.name().to_string(),
+        name,
+        structure,
+        algo: algo.to_string(),
         ops,
-        ns_per_op: ns,
-        ops_per_sec: 1e9 / ns,
-        events_per_op: events as f64 / ev_ops as f64,
-        pwb_per_op: stats.pwb_total() as f64 / ops as f64,
-        psync_per_op: (stats.psync + stats.pfence) as f64 / ops as f64,
-        pwb_elided_per_op: stats.pwb_elided_total() as f64 / ops as f64,
-        psync_coalesced_per_op: stats.psync_coalesced as f64 / ops as f64,
+        ns_per_op: ns.median,
+        ns_min: ns.min,
+        ns_max: ns.max,
+        ops_per_sec: 1e9 / ns.median,
+        events_per_op,
+        pwb_per_op: per_op.pwb,
+        psync_per_op: per_op.psync,
+        pwb_elided_per_op: per_op.pwb_elided,
+        psync_coalesced_per_op: per_op.psync_coalesced,
     }
 }
 
-/// Times one Tracking-only structure (queue/stack/exchanger).
+/// One per-competitor list workload. With `flushopt` the pools arm the
+/// flush-elision layer and the row is named `list/<Algo>+flushopt`;
+/// `pwb_per_op` then counts only the flushes that actually executed, with
+/// the elided balance in `pwb_elided_per_op`.
+fn bench_list(kind: AlgoKind, ops: u64, flushopt: bool) -> BenchRow {
+    let suffix = if flushopt { "+flushopt" } else { "" };
+    row(
+        format!("list/{}{suffix}", kind.name()),
+        StructureKind::List.name(),
+        kind.name(),
+        ops,
+        |c| PoolCfg { flushopt, ..c },
+        |pool, n| {
+            let algo = build(kind, pool.clone(), 2, KEY_RANGE + 4);
+            let ctx = ThreadCtx::new(pool.clone(), 0);
+            measure::prefill(&*algo, &ctx, KEY_RANGE, SEED ^ 0xF00D);
+            move || set_loop(&*algo, &ctx, n)
+        },
+    )
+}
+
+/// One Tracking-only structure (queue/stack/exchanger/hashmap).
 fn bench_structure(structure: StructureKind, ops: u64) -> BenchRow {
-    let run = |pool: &Arc<PmemPool>, ctx: &ThreadCtx, n: u64| {
+    let script = move |pool: &Arc<PmemPool>, ctx: &ThreadCtx, n: u64| {
         let mut rng = SEED ^ 0xCAFE;
         match structure {
             StructureKind::Queue => {
                 let q = tracking::RecoverableQueue::new(pool.clone(), 0);
                 for _ in 0..n {
-                    if next_rng(&mut rng) % 5 < 3 {
+                    if measure::rng(&mut rng) % 5 < 3 {
                         q.enqueue(ctx, rng % 1000 + 1);
                     } else {
                         std::hint::black_box(q.dequeue(ctx));
@@ -262,7 +272,7 @@ fn bench_structure(structure: StructureKind, ops: u64) -> BenchRow {
             StructureKind::Stack => {
                 let s = tracking::RecoverableStack::new(pool.clone(), 0);
                 for _ in 0..n {
-                    if next_rng(&mut rng) % 5 < 3 {
+                    if measure::rng(&mut rng) % 5 < 3 {
                         s.push(ctx, rng % 1000 + 1);
                     } else {
                         std::hint::black_box(s.pop(ctx));
@@ -281,7 +291,7 @@ fn bench_structure(structure: StructureKind, ops: u64) -> BenchRow {
                 // row prices resize amortization, not just bucket ops.
                 let m = tracking::RecoverableHashMap::new(pool.clone(), 0);
                 for _ in 0..n {
-                    let r = next_rng(&mut rng);
+                    let r = measure::rng(&mut rng);
                     let key = r % 256 + 1;
                     match (r >> 32) % 10 {
                         0..=5 => std::hint::black_box(m.get(ctx, key)).map(|_| ()),
@@ -293,137 +303,54 @@ fn bench_structure(structure: StructureKind, ops: u64) -> BenchRow {
             _ => unreachable!("set shapes go through bench_list"),
         }
     };
-
-    let pool = perf_pool(256 << 20, false);
-    let ctx = ThreadCtx::new(pool.clone(), 0);
-    pool.stats_reset();
-    let t = Instant::now();
-    run(&pool, &ctx, ops);
-    let elapsed = t.elapsed();
-    let stats = pool.stats();
-
-    let ev_ops = ops.min(512);
-    let tp = model_pool(64 << 20, true, false);
-    let tctx = ThreadCtx::new(tp.clone(), 0);
-    tp.trace_clear();
-    run(&tp, &tctx, ev_ops);
-    let events = tp.trace_snapshot().total();
-
-    let ns = elapsed.as_nanos() as f64 / ops as f64;
-    BenchRow {
-        name: format!("{}/Tracking", structure.name()),
-        structure: structure.name(),
-        algo: "Tracking".to_string(),
+    row(
+        format!("{}/Tracking", structure.name()),
+        structure.name(),
+        "Tracking",
         ops,
-        ns_per_op: ns,
-        ops_per_sec: 1e9 / ns,
-        events_per_op: events as f64 / ev_ops as f64,
-        pwb_per_op: stats.pwb_total() as f64 / ops as f64,
-        psync_per_op: (stats.psync + stats.pfence) as f64 / ops as f64,
-        pwb_elided_per_op: 0.0,
-        psync_coalesced_per_op: 0.0,
-    }
+        |c| c,
+        |pool, n| {
+            let (pool, ctx) = (pool.clone(), ThreadCtx::new(pool.clone(), 0));
+            move || script(&pool, &ctx, n)
+        },
+    )
 }
 
-/// Times the recoverable free-list allocator (`pmem::palloc`) phase by
-/// phase over `ops` class-1 blocks: free-list pops (`palloc/alloc`), limbo
-/// pushes (`palloc/retire`), and the quiescent limbo→free-list drain
-/// (`palloc/drain`, reported per drained block). The pool is pre-cycled so
-/// the timed alloc phase pops recycled blocks rather than bumping the
-/// arena — the number under test is the recycling path the bump arena
-/// doesn't have.
+/// The recoverable free-list allocator (`pmem::palloc`) phase by phase over
+/// `ops` class-1 blocks: free-list pops (`palloc/alloc`), limbo pushes
+/// (`palloc/retire`), and the quiescent limbo→free-list drain
+/// (`palloc/drain`, reported per drained block). Each phase is a row of its
+/// own, timed after a priming cycle (and the phases before it) on a fresh
+/// `reclaim` pool, so the alloc phase pops recycled blocks rather than
+/// bumping the arena — the number under test is the recycling path the
+/// bump arena doesn't have.
 fn bench_palloc(ops: u64) -> Vec<BenchRow> {
     const TID: usize = 0;
-    fn cycle(
-        pool: &Arc<PmemPool>,
-        ctx: &ThreadCtx,
-        n: u64,
-        mut mark: impl FnMut(&str),
-    ) -> Vec<pmem::PAddr> {
-        // Prime: push n blocks through a full retire+drain cycle so the
-        // free list holds exactly n class-1 blocks.
-        let mut blocks: Vec<pmem::PAddr> = (0..n).map(|_| ctx.palloc(1)).collect();
-        for b in &blocks {
-            ctx.retire(*b, 1);
-        }
-        pool.palloc_drain(TID);
-        mark("primed");
-        blocks.clear();
-        for _ in 0..n {
-            blocks.push(ctx.palloc(1));
-        }
-        mark("alloc");
-        for b in &blocks {
-            ctx.retire(*b, 1);
-        }
-        mark("retire");
-        pool.palloc_drain(TID);
-        mark("drain");
-        blocks
-    }
-
-    // Timed run: Perf mode, real flushes, observers off.
-    let pool = Arc::new(PmemPool::new(PoolCfg {
-        max_threads: 8,
-        reclaim: true,
-        ..PoolCfg::perf(256 << 20)
-    }));
-    let ctx = ThreadCtx::new(pool.clone(), TID);
-    let mut marks: Vec<(std::time::Duration, u64, u64)> = Vec::new();
-    {
-        let mut last = Instant::now();
-        let pool2 = pool.clone();
-        cycle(&pool, &ctx, ops, |_| {
-            let stats = pool2.stats();
-            marks.push((
-                last.elapsed(),
-                stats.pwb_total(),
-                stats.psync + stats.pfence,
-            ));
-            pool2.stats_reset();
-            last = Instant::now();
-        });
-    }
-
-    // Event density: the same cycle traced on a short Model-mode run.
-    let ev_ops = ops.min(512);
-    let tp = Arc::new(PmemPool::new(PoolCfg {
-        trace: true,
-        max_threads: 8,
-        reclaim: true,
-        trace_capacity: 64,
-        ..PoolCfg::model(64 << 20)
-    }));
-    let tctx = ThreadCtx::new(tp.clone(), TID);
-    let mut events: Vec<u64> = Vec::new();
-    {
-        let tp2 = tp.clone();
-        cycle(&tp, &tctx, ev_ops, |_| {
-            events.push(tp2.trace_snapshot().total());
-            tp2.trace_clear();
-        });
-    }
-
-    // marks[0]/events[0] are the untimed priming pass; phases follow.
     ["alloc", "retire", "drain"]
         .iter()
         .enumerate()
-        .map(|(i, phase)| {
-            let (elapsed, pwb, psync) = marks[i + 1];
-            let ns = elapsed.as_nanos() as f64 / ops as f64;
-            BenchRow {
-                name: format!("palloc/{phase}"),
-                structure: "palloc",
-                algo: "palloc".to_string(),
+        .map(|(phase, name)| {
+            row(
+                format!("palloc/{name}"),
+                "palloc",
+                "palloc",
                 ops,
-                ns_per_op: ns,
-                ops_per_sec: 1e9 / ns,
-                events_per_op: events[i + 1] as f64 / ev_ops as f64,
-                pwb_per_op: pwb as f64 / ops as f64,
-                psync_per_op: psync as f64 / ops as f64,
-                pwb_elided_per_op: 0.0,
-                psync_coalesced_per_op: 0.0,
-            }
+                |c| PoolCfg { reclaim: true, ..c },
+                |pool, n| {
+                    let pool = pool.clone();
+                    let ctx = ThreadCtx::new(pool.clone(), TID);
+                    let mut blocks = Vec::new();
+                    let mut step = move |s: usize| match s {
+                        0 => blocks = (0..n).map(|_| ctx.palloc(1)).collect(),
+                        1 => blocks.drain(..).for_each(|b| ctx.retire(b, 1)),
+                        _ => pool.palloc_drain(TID),
+                    };
+                    // Prime: one full cycle leaves exactly `n` class-1
+                    // blocks on the free list.
+                    (0..3).chain(0..phase).for_each(&mut step);
+                    move || step(phase)
+                },
+            )
         })
         .collect()
 }
@@ -449,39 +376,39 @@ fn primitive_loop(pool: &PmemPool, iters: u64) {
     }
 }
 
-/// Measures the substrate's own per-event cost with observers off vs on.
+/// Measures the substrate's own per-event cost with observers off vs on,
+/// as one row of two interleaved variants; the ratio is median(on) /
+/// median(off).
 ///
 /// Backend is [`Backend::Noop`] and shadow is off, so the loop times
 /// *instrumentation* (flag checks, counters, crash-tick plumbing) rather
 /// than flush hardware.
 fn bench_overhead(iters: u64) -> OverheadRow {
-    let off_pool = PmemPool::new(PoolCfg {
+    let quiet = PoolCfg {
         backend: Backend::Noop,
         ..PoolCfg::perf(1 << 20)
-    });
-    // warm-up + timed
-    primitive_loop(&off_pool, iters / 10);
-    let t = Instant::now();
-    primitive_loop(&off_pool, iters);
-    let off_ns = t.elapsed().as_nanos() as f64 / iters as f64;
-
-    let on_pool = PmemPool::new(PoolCfg {
-        backend: Backend::Noop,
+    };
+    let observed = PoolCfg {
         trace: true,
         lint: true,
         trace_capacity: 64,
-        ..PoolCfg::perf(1 << 20)
+        ..quiet.clone()
+    };
+    let cfgs = [quiet, observed];
+    let spreads = trials("overhead", 2, |v| {
+        let pool = PmemPool::new(cfgs[v].clone());
+        let ns_per_op = time_per_op(iters, || primitive_loop(&pool, iters));
+        Sample {
+            ns_per_op,
+            counts: Counts::of(&pool.stats()),
+        }
     });
-    primitive_loop(&on_pool, iters / 10);
-    let t = Instant::now();
-    primitive_loop(&on_pool, iters);
-    let on_ns = t.elapsed().as_nanos() as f64 / iters as f64;
-
+    let (off, on) = (spreads[0].0.median, spreads[1].0.median);
     OverheadRow {
         iters,
-        off_ns_per_op: off_ns,
-        on_ns_per_op: on_ns,
-        ratio: on_ns / off_ns.max(1e-9),
+        off_ns_per_op: off,
+        on_ns_per_op: on,
+        ratio: on / off.max(1e-9),
     }
 }
 
@@ -497,6 +424,36 @@ pub fn host_cpus() -> usize {
 /// and must not be compared against points captured on a wider machine.
 pub fn degraded_parallelism(threads_list: &[usize]) -> bool {
     threads_list.iter().copied().max().unwrap_or(0) > host_cpus()
+}
+
+/// Warns on stderr when a sweep over `threads_list` oversubscribes this
+/// host ([`degraded_parallelism`]).
+pub fn warn_if_degraded(threads_list: &[usize]) {
+    if degraded_parallelism(threads_list) {
+        eprintln!(
+            "WARNING: sweep requests up to {} threads but the host exposes only {} \
+             CPU(s); multi-thread points measure time-slicing, not contention. The \
+             report will carry \"degraded_parallelism\": true.",
+            threads_list.iter().max().unwrap_or(&0),
+            host_cpus(),
+        );
+    }
+}
+
+/// Validates a capture with `validate`, then writes it to `path` (creating
+/// its directory) and prints where.
+pub fn write_capture(
+    path: &std::path::Path,
+    json: &str,
+    validate: fn(&str) -> Result<(), String>,
+) -> Result<(), String> {
+    validate(json)?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("creating output directory");
+    }
+    std::fs::write(path, json).expect("writing capture");
+    println!("-> {}", path.display());
+    Ok(())
 }
 
 /// Runs every baseline bench per `cfg`.
@@ -521,15 +478,7 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
         rows.push(bench_structure(structure, cfg.ops));
     }
     rows.extend(bench_palloc(cfg.ops));
-    if degraded_parallelism(&cfg.sweep_threads) {
-        eprintln!(
-            "WARNING: thread sweep requests up to {} threads but the host exposes \
-             only {} CPU(s); multi-thread points measure time-slicing, not \
-             contention. The report will carry \"degraded_parallelism\": true.",
-            cfg.sweep_threads.iter().max().unwrap_or(&0),
-            host_cpus(),
-        );
-    }
+    warn_if_degraded(&cfg.sweep_threads);
     let thread_sweep = run_thread_sweep(
         &ParSubject::all(),
         &cfg.sweep_threads,
@@ -549,17 +498,10 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
     }
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl BaselineReport {
     /// Renders the report as the committed `BENCH_*.json` document.
     pub fn to_json(&self) -> String {
+        let f = json_num;
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
@@ -567,28 +509,31 @@ impl BaselineReport {
         out.push_str(&format!("  \"created_unix\": {},\n", self.created_unix));
         out.push_str(&format!("  \"ops_per_bench\": {},\n", self.cfg.ops));
         out.push_str(&format!("  \"host_cpus\": {},\n", host_cpus()));
+        out.push_str(&format!("  \"host_thp\": \"{}\",\n", host_thp()));
         out.push_str(&format!(
             "  \"degraded_parallelism\": {},\n",
             degraded_parallelism(&self.cfg.sweep_threads)
         ));
         out.push_str("  \"benches\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
+            let counts: Vec<String> = COUNT_FIELDS
+                .iter()
+                .zip(r.counts())
+                .map(|(key, v)| format!("\"{key}\": {}", f(v)))
+                .collect();
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"structure\": \"{}\", \"algo\": \"{}\", \
-                 \"ops\": {}, \"ns_per_op\": {}, \"ops_per_sec\": {}, \
-                 \"events_per_op\": {}, \"pwb_per_op\": {}, \"psync_per_op\": {}, \
-                 \"pwb_elided_per_op\": {}, \"psync_coalesced_per_op\": {}}}{}\n",
+                 \"ops\": {}, \"ns_per_op\": {}, \"ns_min\": {}, \"ns_max\": {}, \
+                 \"ops_per_sec\": {}, {}}}{}\n",
                 r.name,
                 r.structure,
                 r.algo,
                 r.ops,
-                json_f(r.ns_per_op),
-                json_f(r.ops_per_sec),
-                json_f(r.events_per_op),
-                json_f(r.pwb_per_op),
-                json_f(r.psync_per_op),
-                json_f(r.pwb_elided_per_op),
-                json_f(r.psync_coalesced_per_op),
+                f(r.ns_per_op),
+                f(r.ns_min),
+                f(r.ns_max),
+                f(r.ops_per_sec),
+                counts.join(", "),
                 if i + 1 == self.rows.len() { "" } else { "," },
             ));
         }
@@ -608,15 +553,15 @@ impl BaselineReport {
         out.push_str(&format!(
             "    \"iters\": {},\n    \"off_ns_per_op\": {},\n    \"on_ns_per_op\": {},\n    \"ratio\": {}",
             self.overhead.iters,
-            json_f(self.overhead.off_ns_per_op),
-            json_f(self.overhead.on_ns_per_op),
-            json_f(self.overhead.ratio),
+            f(self.overhead.off_ns_per_op),
+            f(self.overhead.on_ns_per_op),
+            f(self.overhead.ratio),
         ));
         if let Some(prev) = self.cfg.prev_off_ns_per_op {
             out.push_str(&format!(
                 ",\n    \"prev_off_ns_per_op\": {},\n    \"off_vs_prev\": {}",
-                json_f(prev),
-                json_f(self.overhead.off_ns_per_op / prev.max(1e-9)),
+                f(prev),
+                f(self.overhead.off_ns_per_op / prev.max(1e-9)),
             ));
         }
         out.push_str("\n  }\n}\n");
@@ -626,14 +571,23 @@ impl BaselineReport {
     /// Console table.
     pub fn to_text(&self) -> String {
         let mut out = format!(
-            "{:<24} {:>10} {:>12} {:>10} {:>8} {:>8} {:>8} {:>8}\n",
-            "bench", "ns/op", "ops/sec", "events/op", "pwb/op", "psync/op", "elide/op", "coal/op"
+            "{:<26} {:>10} {:>17} {:>12} {:>10} {:>8} {:>8} {:>8} {:>8}\n",
+            "bench",
+            "ns/op",
+            "min..max",
+            "ops/sec",
+            "events/op",
+            "pwb/op",
+            "psync/op",
+            "elide/op",
+            "coal/op"
         );
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<24} {:>10.1} {:>12.0} {:>10.1} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",
+                "{:<26} {:>10.1} {:>17} {:>12.0} {:>10.1} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",
                 r.name,
                 r.ns_per_op,
+                format!("{:.1}..{:.1}", r.ns_min, r.ns_max),
                 r.ops_per_sec,
                 r.events_per_op,
                 r.pwb_per_op,
@@ -660,17 +614,12 @@ impl BaselineReport {
             }
         }
         out.push_str(&format!(
-            "instrumentation overhead: off {:.2} ns/iter, on {:.2} ns/iter (x{:.1})",
-            self.overhead.off_ns_per_op, self.overhead.on_ns_per_op, self.overhead.ratio
+            "instrumentation overhead: off {:.2} ns/iter, on {:.2} ns/iter (x{:.1}, medians of {} trials)\n",
+            self.overhead.off_ns_per_op,
+            self.overhead.on_ns_per_op,
+            self.overhead.ratio,
+            measure::TRIALS
         ));
-        if let Some(prev) = self.cfg.prev_off_ns_per_op {
-            out.push_str(&format!(
-                "; off vs prev {:.2} ns = x{:.2}",
-                prev,
-                self.overhead.off_ns_per_op / prev.max(1e-9)
-            ));
-        }
-        out.push('\n');
         out
     }
 }
@@ -688,64 +637,171 @@ pub fn extract_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Per-row `(name, pwb_per_op, psync_per_op)` triples of a baseline
-/// document's `benches` section — the counters the `--prev` density
-/// comparison runs on (hand-rolled like [`extract_number`]; thread-sweep
-/// points use `subject` rather than `name` and are skipped naturally).
-pub fn bench_rows_from_json(json: &str) -> Vec<(String, f64, f64)> {
+/// Extracts the first `"key": "<string>"` occurrence (no escapes).
+fn extract_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\": \"");
+    let at = json.find(&pat)? + pat.len();
+    json[at..].split('"').next()
+}
+
+/// The deterministic per-row fields the count gate compares, in
+/// [`BenchRow::counts`] order.
+pub const COUNT_FIELDS: [&str; 5] = [
+    "events_per_op",
+    "pwb_per_op",
+    "psync_per_op",
+    "pwb_elided_per_op",
+    "psync_coalesced_per_op",
+];
+
+impl BenchRow {
+    /// The row's [`COUNT_FIELDS`].
+    pub fn counts(&self) -> [f64; 5] {
+        [
+            self.events_per_op,
+            self.pwb_per_op,
+            self.psync_per_op,
+            self.pwb_elided_per_op,
+            self.psync_coalesced_per_op,
+        ]
+    }
+}
+
+/// Each row of a baseline document's `benches` section as its name and
+/// [`COUNT_FIELDS`] (`None` where an older capture lacks the field).
+/// Thread-sweep points use `subject` rather than `name` and are skipped.
+pub fn bench_rows_from_json(json: &str) -> Vec<(String, [Option<f64>; 5])> {
+    json.split("{\"name\": \"")
+        .skip(1)
+        .filter_map(|chunk| {
+            let name = &chunk[..chunk.find('"')?];
+            let body = &chunk[..chunk.find('}').unwrap_or(chunk.len())];
+            Some((
+                name.to_string(),
+                COUNT_FIELDS.map(|key| extract_number(body, key)),
+            ))
+        })
+        .collect()
+}
+
+/// The count gate: one line per same-named row whose counts differ from the
+/// previous capture's, compared as the three-decimal numbers both captures
+/// record. The counts are deterministic functions of the fixed scripts at a
+/// given `ops_per_bench`, so any difference is a change in what the code
+/// executes, never noise. Rows present on one side only are skipped.
+pub fn compare_bench_rows(prev: &[(String, [Option<f64>; 5])], cur: &[BenchRow]) -> Vec<String> {
     let mut out = Vec::new();
-    for chunk in json.split("{\"name\": \"").skip(1) {
-        let Some(name_end) = chunk.find('"') else {
+    for r in cur {
+        let Some((_, prev_counts)) = prev.iter().find(|(n, _)| *n == r.name) else {
             continue;
         };
-        let body = &chunk[..chunk.find('}').unwrap_or(chunk.len())];
-        if let (Some(pwb), Some(psync)) = (
-            extract_number(body, "pwb_per_op"),
-            extract_number(body, "psync_per_op"),
-        ) {
-            out.push((chunk[..name_end].to_string(), pwb, psync));
+        for ((key, p), c) in COUNT_FIELDS.iter().zip(prev_counts).zip(r.counts()) {
+            if let Some(p) = p {
+                if json_num(*p) != json_num(c) {
+                    out.push(format!(
+                        "{} {key} changed: {} -> {}",
+                        r.name,
+                        json_num(*p),
+                        json_num(c)
+                    ));
+                }
+            }
         }
     }
     out
 }
 
-/// Compares per-row persistence-instruction densities against a previous
-/// report's rows: any same-named row whose executed `pwb`/op or `psync`/op
-/// grew by more than `tol` (relative) yields a warning line. Unlike
-/// wall-clock numbers these counters are deterministic functions of the
-/// scripted workload, so a movement is a placement change (or an elision
-/// that stopped working), not noise — but new rows and removed rows are
-/// normal across schema growth, so this warns rather than fails.
-pub fn compare_bench_rows(
-    prev: &[(String, f64, f64)],
-    cur: &[BenchRow],
-    tol: f64,
-) -> (Vec<String>, usize) {
-    let mut lines = Vec::new();
-    let mut warnings = 0;
-    for r in cur {
-        let Some((_, ppwb, ppsync)) = prev.iter().find(|(n, _, _)| *n == r.name) else {
-            continue;
-        };
-        for (what, prev_v, cur_v) in [
-            ("pwb/op", *ppwb, r.pwb_per_op),
-            ("psync/op", *ppsync, r.psync_per_op),
-        ] {
-            if prev_v <= 0.0 {
-                continue;
-            }
-            let rel = cur_v / prev_v - 1.0;
-            if rel > tol {
-                lines.push(format!(
-                    "WARNING: {} {what} regressed {prev_v:.2} -> {cur_v:.2} ({:+.1}%)",
-                    r.name,
-                    rel * 100.0
-                ));
-                warnings += 1;
-            }
+/// The THP mode of the host (`always`, `madvise`, `never`), or `"unknown"`
+/// where it cannot be read. Pool memory asks for 2 MiB pages, so captures
+/// from hosts with different modes are not comparable on the wall clock.
+pub fn host_thp() -> String {
+    std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+        .ok()
+        .and_then(|s| Some(s.split_once('[')?.1.split_once(']')?.0.to_string()))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// What comparing a fresh report with a previous capture found.
+#[derive(Debug, Default)]
+pub struct PrevCheck {
+    /// Trend and status lines to print.
+    pub lines: Vec<String>,
+    /// Gate failures; any one fails the run.
+    pub failures: Vec<String>,
+}
+
+/// Compares `report` with a previous capture `prev`:
+///
+/// * **host**: when `host_cpus` or `host_thp` differ, one "host differs"
+///   line replaces the wall-clock trends (off-cost and thread sweep), which
+///   would only measure the machines;
+/// * **count gate**: when `ops_per_bench` matches, every changed count of a
+///   same-named row is a failure ([`compare_bench_rows`]);
+/// * **ratio gate**: an observers-on/off ratio more than 15 % above the
+///   previous one is a failure. The ratio divides medians of interleaved
+///   trials of one loop in one process, so host speed cancels out.
+pub fn check_against_prev(report: &BaselineReport, prev: &str) -> PrevCheck {
+    let mut check = PrevCheck::default();
+    let (cpus, thp) = (host_cpus(), host_thp());
+    let prev_cpus = extract_number(prev, "host_cpus").map_or(0, |v| v as usize);
+    let prev_thp = extract_str(prev, "host_thp").unwrap_or("unknown");
+    if (cpus, thp.as_str()) != (prev_cpus, prev_thp) {
+        check.lines.push(format!(
+            "host differs from prev (cpus {cpus} vs {prev_cpus}, thp {thp} vs {prev_thp}): \
+             wall-clock trends skipped"
+        ));
+    } else {
+        if let Some(p) = extract_number(prev, "off_ns_per_op") {
+            check.lines.push(format!(
+                "off vs prev {p:.2} ns = x{:.2}",
+                report.overhead.off_ns_per_op / p.max(1e-9)
+            ));
+        }
+        let prev_pts = crate::parallel::sweep_points_from_json(prev);
+        let (lines, warnings) =
+            crate::parallel::compare_sweeps(&prev_pts, &report.thread_sweep, 0.25);
+        check.lines.extend(lines);
+        if warnings > 0 {
+            check.lines.push(format!(
+                "WARNING: {warnings} scaling regression(s) vs previous report"
+            ));
         }
     }
-    (lines, warnings)
+
+    if extract_number(prev, "ops_per_bench") == Some(report.cfg.ops as f64) {
+        let changed = compare_bench_rows(&bench_rows_from_json(prev), &report.rows);
+        if changed.is_empty() {
+            check
+                .lines
+                .push("counts: every shared row equals prev".into());
+        }
+        check.failures.extend(changed);
+    } else {
+        check
+            .lines
+            .push("(ops_per_bench differs from prev; count gate skipped)".into());
+    }
+
+    match extract_number(prev, "ratio") {
+        Some(prev_ratio) if prev_ratio > 0.0 => {
+            let ratio = report.overhead.ratio;
+            let rel = ratio / prev_ratio - 1.0;
+            check.lines.push(format!(
+                "overhead ratio: {ratio:.2}x vs previous {prev_ratio:.2}x ({:+.1}%)",
+                rel * 100.0
+            ));
+            if rel > 0.15 {
+                check.failures.push(format!(
+                    "observer overhead ratio regressed by {:.1}% (> 15% gate)",
+                    rel * 100.0
+                ));
+            }
+        }
+        _ => check
+            .lines
+            .push("(prev report has no overhead ratio; no ratio gate)".into()),
+    }
+    check
 }
 
 /// Validates that `json` looks like a `bench-baseline/v1` document: schema
@@ -769,42 +825,40 @@ pub fn validate_json(json: &str) -> Result<(), String> {
         if json.matches("\"subject\":").count() == 0 {
             return Err("thread_sweep section present but empty".into());
         }
-        for key in ["per_thread_ops_per_sec"] {
-            match extract_number(json, key) {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
-                None => return Err(format!("missing numeric field {key}")),
-            }
-        }
+        require_numbers(json, &["per_thread_ops_per_sec"])?;
     }
     let benches = json.matches("\"ns_per_op\":").count();
     if benches < 2 {
         return Err("fewer than one bench row plus overhead".into());
     }
-    for key in [
-        "ops_per_sec",
-        "events_per_op",
-        "pwb_per_op",
-        "psync_per_op",
-        "off_ns_per_op",
-        "on_ns_per_op",
-        "ratio",
-    ] {
+    require_numbers(
+        json,
+        &[
+            "ops_per_sec",
+            "events_per_op",
+            "pwb_per_op",
+            "psync_per_op",
+            "off_ns_per_op",
+            "on_ns_per_op",
+            "ratio",
+        ],
+    )?;
+    // Elision densities (additive since PR 9): validated when present, so
+    // earlier committed reports still pass; fresh reports always carry them.
+    if json.contains("\"pwb_elided_per_op\":") {
+        require_numbers(json, &["pwb_elided_per_op", "psync_coalesced_per_op"])?;
+    }
+    Ok(())
+}
+
+/// Checks that the first occurrence of each of `keys` in `json` is a
+/// finite, non-negative number.
+pub(crate) fn require_numbers(json: &str, keys: &[&str]) -> Result<(), String> {
+    for key in keys {
         match extract_number(json, key) {
             Some(v) if v.is_finite() && v >= 0.0 => {}
             Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
             None => return Err(format!("missing numeric field {key}")),
-        }
-    }
-    // Elision densities (additive since PR 9): validated when present, so
-    // earlier committed reports still pass; fresh reports always carry them.
-    if json.contains("\"pwb_elided_per_op\":") {
-        for key in ["pwb_elided_per_op", "psync_coalesced_per_op"] {
-            match extract_number(json, key) {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
-                None => return Err(format!("missing numeric field {key}")),
-            }
         }
     }
     Ok(())
@@ -905,42 +959,185 @@ mod tests {
         assert!(report.to_text().contains("queue/Combining"));
     }
 
-    #[test]
-    fn bench_row_density_comparison_flags_regressions() {
-        let prev_doc = "{\"benches\": [\n    \
-            {\"name\": \"list/Tracking\", \"pwb_per_op\": 6.0, \"psync_per_op\": 3.4},\n    \
-            {\"name\": \"list/Capsules+flushopt\", \"pwb_per_op\": 5.0, \"psync_per_op\": 4.0}\n  ]}";
-        let prev = bench_rows_from_json(prev_doc);
-        assert_eq!(prev.len(), 2);
-        assert_eq!(prev[0], ("list/Tracking".to_string(), 6.0, 3.4));
-        let row = |name: &str, pwb: f64, psync: f64| BenchRow {
+    fn row(name: &str, pwb: f64, psync: f64) -> BenchRow {
+        BenchRow {
             name: name.to_string(),
             structure: "list",
             algo: "x".to_string(),
             ops: 1,
             ns_per_op: 1.0,
+            ns_min: 1.0,
+            ns_max: 1.0,
             ops_per_sec: 1.0,
             events_per_op: 1.0,
             pwb_per_op: pwb,
             psync_per_op: psync,
             pwb_elided_per_op: 0.0,
             psync_coalesced_per_op: 0.0,
-        };
-        // Unchanged + unknown rows: silent. A >5% pwb/op growth: flagged.
-        let (lines, warnings) = compare_bench_rows(
+        }
+    }
+
+    /// A report with the given rows, no sweep, `ops_per_bench` 2000 and
+    /// an on/off ratio of 6.0.
+    fn report(rows: Vec<BenchRow>) -> BaselineReport {
+        BaselineReport {
+            cfg: BaselineCfg::smoke("unit"),
+            created_unix: 0,
+            rows,
+            thread_sweep: vec![SweepPoint {
+                subject: "stack/Tracking",
+                threads: 1,
+                shards: 1,
+                ops: 10,
+                ops_per_sec: 100.0,
+                per_thread_ops_per_sec: 100.0,
+                pwb_per_op: 1.0,
+                psync_per_op: 1.0,
+                pwb_elided_per_op: 0.0,
+                psync_coalesced_per_op: 0.0,
+            }],
+            overhead: OverheadRow {
+                iters: 1,
+                off_ns_per_op: 10.0,
+                on_ns_per_op: 60.0,
+                ratio: 6.0,
+            },
+        }
+    }
+
+    #[test]
+    fn bench_row_density_comparison_flags_regressions() {
+        let prev_doc = "{\"benches\": [\n    \
+            {\"name\": \"list/Tracking\", \"pwb_per_op\": 6.0, \"psync_per_op\": 3.4},\n    \
+            {\"name\": \"list/Capsules+flushopt\", \"events_per_op\": 1.0, \"pwb_per_op\": 5.0, \
+             \"psync_per_op\": 4.0, \"pwb_elided_per_op\": 0.0, \"psync_coalesced_per_op\": 0.0}\n  ]}";
+        let prev = bench_rows_from_json(prev_doc);
+        assert_eq!(prev.len(), 2);
+        assert_eq!(
+            prev[0],
+            (
+                "list/Tracking".to_string(),
+                [None, Some(6.0), Some(3.4), None, None]
+            )
+        );
+        // Equal counts, fields an older capture lacks, and unknown rows:
+        // silent.
+        let changed = compare_bench_rows(
             &prev,
             &[
                 row("list/Tracking", 6.0, 3.4),
+                row("list/Capsules+flushopt", 5.0, 4.0),
                 row("queue/Tracking", 99.0, 99.0),
             ],
-            0.05,
         );
-        assert_eq!(warnings, 0, "{lines:?}");
-        let (lines, warnings) =
-            compare_bench_rows(&prev, &[row("list/Capsules+flushopt", 9.0, 4.0)], 0.05);
-        assert_eq!(warnings, 1);
-        assert!(lines[0].contains("list/Capsules+flushopt"), "{lines:?}");
-        assert!(lines[0].contains("pwb/op"), "{lines:?}");
+        assert!(changed.is_empty(), "{changed:?}");
+        // Any change, down as well as up, and below the old 5% tolerance.
+        for pwb in [5.001, 4.0, 9.0] {
+            let changed = compare_bench_rows(&prev, &[row("list/Capsules+flushopt", pwb, 4.0)]);
+            assert_eq!(changed.len(), 1, "{changed:?}");
+            assert!(
+                changed[0].contains("list/Capsules+flushopt pwb_per_op changed: 5.000 ->"),
+                "{changed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn count_gate_applies_only_at_equal_ops() {
+        let prev = report(vec![row("list/Tracking", 6.0, 3.4)]).to_json();
+        let same = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.4)]), &prev);
+        assert!(same.failures.is_empty(), "{same:?}");
+        assert!(same
+            .lines
+            .iter()
+            .any(|l| l.contains("every shared row equals prev")));
+
+        let moved = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.5)]), &prev);
+        assert_eq!(moved.failures.len(), 1, "{moved:?}");
+        assert!(moved.failures[0].contains("psync_per_op"), "{moved:?}");
+
+        let other_ops = prev.replace("\"ops_per_bench\": 2000", "\"ops_per_bench\": 40000");
+        let skipped = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.5)]), &other_ops);
+        assert!(skipped.failures.is_empty(), "{skipped:?}");
+        assert!(skipped
+            .lines
+            .iter()
+            .any(|l| l.contains("count gate skipped")));
+    }
+
+    #[test]
+    fn ratio_gate_fails_past_fifteen_percent() {
+        let prev = report(vec![])
+            .to_json()
+            .replace("\"ratio\": 6.000", "\"ratio\": 5.000");
+        let check = check_against_prev(&report(vec![]), &prev);
+        assert_eq!(check.failures.len(), 1, "{check:?}");
+        assert!(check.failures[0].contains("observer overhead ratio regressed by 20.0%"));
+        let prev = report(vec![])
+            .to_json()
+            .replace("\"ratio\": 6.000", "\"ratio\": 5.500");
+        assert!(check_against_prev(&report(vec![]), &prev)
+            .failures
+            .is_empty());
+    }
+
+    #[test]
+    fn host_mismatch_skips_wall_clock_trends_only() {
+        let cur = report(vec![row("list/Tracking", 6.0, 3.4)]);
+        let mut slow = report(vec![row("list/Tracking", 6.0, 3.4)]);
+        slow.thread_sweep[0].ops_per_sec = 1e6;
+        let prev = slow.to_json();
+
+        let same_host = check_against_prev(&cur, &prev);
+        assert!(
+            same_host.lines.iter().any(|l| l.contains("REGRESSION")),
+            "{same_host:?}"
+        );
+        assert!(same_host.lines.iter().any(|l| l.starts_with("off vs prev")));
+
+        let other = prev.replace(
+            &format!("\"host_cpus\": {}", host_cpus()),
+            &format!("\"host_cpus\": {}", host_cpus() + 1),
+        );
+        let mut moved = report(vec![row("list/Tracking", 7.0, 3.4)]);
+        moved.overhead.ratio = 60.0;
+        let check = check_against_prev(&moved, &other);
+        assert!(
+            check.lines[0].starts_with("host differs from prev"),
+            "{check:?}"
+        );
+        assert!(!check
+            .lines
+            .iter()
+            .any(|l| l.contains("REGRESSION") || l.starts_with("off vs prev")));
+        // The count and ratio gates still apply.
+        assert_eq!(check.failures.len(), 2, "{check:?}");
+
+        let thp = prev.replace(
+            &format!("\"host_thp\": \"{}\"", host_thp()),
+            "\"host_thp\": \"x\"",
+        );
+        assert!(check_against_prev(&cur, &thp).lines[0].starts_with("host differs from prev"));
+    }
+
+    #[test]
+    fn validate_accepts_every_committed_capture() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut seen = 0;
+        let dirs = [root.clone(), root.join("results/baseline")];
+        for entry in dirs
+            .iter()
+            .flat_map(|d| std::fs::read_dir(d).expect("capture dir"))
+        {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let doc = std::fs::read_to_string(&path).expect("readable capture");
+                validate_json(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+                seen += 1;
+            }
+        }
+        assert!(seen >= 9, "found only {seen} committed captures");
     }
 
     #[test]

@@ -1,64 +1,20 @@
-//! Per-operation latency percentiles for every implementation.
+//! Per-operation latency percentiles and means for every implementation.
 //!
-//! Complements the throughput harness and the Criterion benches with a
-//! latency-distribution view: p50/p90/p99/p999 per operation type, from a
-//! log-bucketed histogram (hand-rolled; no extra dependencies).
+//! Complements the throughput harness with a latency-distribution view:
+//! mean and p50/p90/p99/p999 per operation type on a prefilled list, from
+//! [`bench::measure::Histogram`].
 //!
 //! ```text
 //! cargo run -p bench --release --bin latency [-- --ops 200000 --range 500]
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use bench::measure::{self, Histogram};
 use bench::{build, AlgoKind};
 use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
 
-/// Log-bucketed latency histogram: bucket i covers [2^(i/4), 2^((i+1)/4))
-/// nanoseconds-ish (quarter-powers of two give <20 % bucket error, plenty
-/// for percentile reporting).
-struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; 256],
-            count: 0,
-        }
-    }
-
-    fn bucket_of(ns: u64) -> usize {
-        if ns < 2 {
-            return 0;
-        }
-        let log2 = 63 - ns.leading_zeros() as u64;
-        let frac = (ns >> log2.saturating_sub(2)) & 0b11; // next 2 bits
-        ((log2 * 4 + frac) as usize).min(255)
-    }
-
-    fn record(&mut self, ns: u64) {
-        self.buckets[Self::bucket_of(ns)] += 1;
-        self.count += 1;
-    }
-
-    /// Upper edge (ns) of the bucket holding the q-quantile.
-    fn quantile(&self, q: f64) -> u64 {
-        let target = (self.count as f64 * q) as u64;
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target.max(1) {
-                let log2 = i as u64 / 4;
-                let frac = i as u64 % 4;
-                return (1u64 << log2) + ((frac + 1) << log2.saturating_sub(2));
-            }
-        }
-        u64::MAX
-    }
-}
+const SEED: u64 = 0x5EED;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,8 +40,8 @@ fn main() {
     }
 
     println!(
-        "{:<22} {:>10} {:>8} {:>8} {:>8} {:>8}",
-        "algo/op", "ops", "p50(ns)", "p90(ns)", "p99(ns)", "p999(ns)"
+        "{:<22} {:>10} {:>9} {:>8} {:>8} {:>8} {:>8}",
+        "algo/op", "ops", "mean(ns)", "p50(ns)", "p90(ns)", "p99(ns)", "p999(ns)"
     );
     for kind in [
         AlgoKind::Tracking,
@@ -105,50 +61,34 @@ fn main() {
         }));
         let algo = build(kind, pool.clone(), 4, range);
         let ctx = ThreadCtx::new(pool.clone(), 0);
-        let mut rng = 0x5EEDu64;
-        let mut next = || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for _ in 0..range / 2 {
-            let k = next() % range + 1;
-            algo.insert(&ctx, k);
-        }
-        let mut hists = [Histogram::new(), Histogram::new(), Histogram::new()];
+        measure::prefill(&*algo, &ctx, range, SEED);
+        let mut hists: [Histogram; 3] = Default::default();
         // Capsules is ~20x slower; keep wall time comparable.
         let n = if kind == AlgoKind::Capsules {
             ops / 10
         } else {
             ops
         };
+        let mut rng = SEED ^ 0xF00D;
         for _ in 0..n {
             if pool.remaining_lines() < 4096 {
                 break;
             }
-            let r = next();
+            let r = measure::rng(&mut rng);
             let key = r % range + 1;
-            let op = (r >> 32) % 3;
-            let t = Instant::now();
-            match op {
-                0 => {
-                    std::hint::black_box(algo.insert(&ctx, key));
-                }
-                1 => {
-                    std::hint::black_box(algo.delete(&ctx, key));
-                }
-                _ => {
-                    std::hint::black_box(algo.find(&ctx, key));
-                }
-            }
-            hists[op as usize].record(t.elapsed().as_nanos() as u64);
+            let op = ((r >> 32) % 3) as usize;
+            hists[op].time(|| match op {
+                0 => std::hint::black_box(algo.insert(&ctx, key)),
+                1 => std::hint::black_box(algo.delete(&ctx, key)),
+                _ => std::hint::black_box(algo.find(&ctx, key)),
+            });
         }
         for (h, name) in hists.iter().zip(["insert", "delete", "find"]) {
             println!(
-                "{:<22} {:>10} {:>8} {:>8} {:>8} {:>8}",
+                "{:<22} {:>10} {:>9.1} {:>8} {:>8} {:>8} {:>8}",
                 format!("{}/{}", kind.name(), name),
-                h.count,
+                h.count(),
+                h.mean(),
                 h.quantile(0.50),
                 h.quantile(0.90),
                 h.quantile(0.99),

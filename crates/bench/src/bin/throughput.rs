@@ -24,6 +24,7 @@
 
 use std::time::Duration;
 
+use bench::baseline::write_capture;
 use bench::parallel::{
     compare_sweeps, run_parallel, sweep_points_from_json, throughput_json,
     validate_throughput_json, ParSubject, ParallelCfg, SweepPoint,
@@ -107,15 +108,7 @@ fn main() {
     });
     let duration = Duration::from_millis(duration_ms.unwrap_or(if smoke { 40 } else { 200 }));
 
-    if bench::baseline::degraded_parallelism(&threads_list) {
-        eprintln!(
-            "WARNING: sweep requests up to {} threads but the host exposes only {} \
-             CPU(s); multi-thread points measure time-slicing, not contention. The \
-             report will carry \"degraded_parallelism\": true.",
-            threads_list.iter().max().unwrap_or(&0),
-            bench::baseline::host_cpus(),
-        );
-    }
+    bench::baseline::warn_if_degraded(&threads_list);
 
     println!(
         "{:<16} {:>3} {:>3} {:>10} {:>12} {:>12} {:>8} {:>9}",
@@ -130,30 +123,19 @@ fn main() {
                 flushopt,
                 ..ParallelCfg::contended(subject, threads)
             };
-            let r = run_parallel(&cfg);
+            let p = SweepPoint::from_result(&run_parallel(&cfg));
             println!(
                 "{:<16} {:>3} {:>3} {:>10} {:>12.0} {:>12.0} {:>8.2} {:>9.2}",
-                r.subject,
-                r.threads,
-                r.shards,
-                r.ops,
-                r.ops_per_sec(),
-                r.per_thread_ops_per_sec(),
-                r.pwb_per_op(),
-                r.psync_per_op()
+                p.subject,
+                p.threads,
+                p.shards,
+                p.ops,
+                p.ops_per_sec,
+                p.per_thread_ops_per_sec,
+                p.pwb_per_op,
+                p.psync_per_op
             );
-            points.push(bench::parallel::SweepPoint {
-                subject: r.subject,
-                threads: r.threads,
-                shards: r.shards,
-                ops: r.ops,
-                ops_per_sec: r.ops_per_sec(),
-                per_thread_ops_per_sec: r.per_thread_ops_per_sec(),
-                pwb_per_op: r.pwb_per_op(),
-                psync_per_op: r.psync_per_op(),
-                pwb_elided_per_op: r.pwb_elided_per_op(),
-                psync_coalesced_per_op: r.psync_coalesced_per_op(),
-            });
+            points.push(p);
         }
     }
 
@@ -177,16 +159,9 @@ fn main() {
     }
 
     let json = throughput_json(&label, &threads_list, &points);
-    if let Err(e) = validate_throughput_json(&json) {
+    let path = out.unwrap_or_else(|| format!("BENCH_throughput_{label}.json").into());
+    if let Err(e) = write_capture(&path, &json, validate_throughput_json) {
         eprintln!("produced JSON violates the throughput schema: {e}");
         std::process::exit(1);
     }
-    let path = out.unwrap_or_else(|| format!("BENCH_throughput_{label}.json").into());
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("creating output directory");
-        }
-    }
-    std::fs::write(&path, json).expect("writing throughput JSON");
-    println!("-> {}", path.display());
 }

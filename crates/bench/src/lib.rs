@@ -8,8 +8,13 @@
 //! * [`adapter`] — one uniform [`adapter::SetAlgo`] interface over all five
 //!   evaluated implementations (Tracking list & BST, Capsules,
 //!   Capsules-Opt, Romulus, RedoOpt);
-//! * [`workload`] — the timed multi-thread throughput runner with
-//!   persistence-instruction accounting;
+//! * [`measure`] — the one measurement engine every timing goes through:
+//!   the multi-thread timed window (with a watchdog that fails a stuck
+//!   worker loudly), median-of-5 interleaved single-thread trials with
+//!   exact count checks, the workload RNG, the per-op conversion and the
+//!   latency histogram;
+//! * [`workload`] — the paper's throughput runner over the set
+//!   competitors, on [`measure::window`];
 //! * [`parallel`] / `bin/throughput` — the genuinely parallel throughput
 //!   engine: N real OS threads over sharded queue/stack roots (plain
 //!   Tracking and flat-combining variants) with per-thread
@@ -37,13 +42,16 @@
 //!   matrix, writing one CSV per pair into `results/explore/`;
 //! * [`baseline`] / `bin/baseline` — the tracked perf baseline: fixed
 //!   per-structure/per-competitor micro-workloads plus an
-//!   instrumentation-overhead benchmark, emitted as `BENCH_*.json` at the
-//!   repo root so successive PRs leave a comparable trajectory.
+//!   instrumentation-overhead benchmark, each the median of
+//!   [`measure::trials`], emitted as `BENCH_*.json` at the repo root so
+//!   successive changes leave a comparable trajectory, with an exact
+//!   count gate and a ratio gate against a previous capture;
+//! * `bin/latency` — per-operation mean and percentiles per competitor.
 //!
 //! Numbers are *shapes*, not absolutes: the substrate is simulated NVMM
-//! over DRAM (`clflush`/`sfence`) and this container exposes a single CPU,
-//! so thread "scaling" interleaves. See EXPERIMENTS.md for the
-//! paper-vs-measured discussion.
+//! over DRAM (`clwb`/`sfence`), and thread scaling is only real up to the
+//! host's CPU count. See EXPERIMENTS.md for the paper-vs-measured
+//! discussion.
 
 #![warn(missing_docs)]
 
@@ -53,6 +61,7 @@ pub mod case;
 pub mod csv;
 pub mod explore;
 pub mod figures;
+pub mod measure;
 pub mod parallel;
 pub mod sweep;
 pub mod workload;

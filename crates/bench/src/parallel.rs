@@ -2,7 +2,8 @@
 //! concurrently against sharded structure roots, with per-thread
 //! [`pmem::SubArena`] allocation.
 //!
-//! This is the scaling counterpart to [`crate::workload`]. That engine
+//! This is the scaling counterpart to [`crate::workload`], and like it
+//! times each run as one [`measure::window`]. That engine
 //! times the paper's *set* competitors; this one times the queue/stack
 //! shapes — the structures with a single contended root — in both their
 //! plain Tracking form and the flat-combining variants
@@ -32,26 +33,15 @@
 //! The workload is the storm tests' 50/50 producer/consumer mix with a
 //! small prefill, so pops mostly succeed and both code paths stay hot.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use pmem::{install_thread_arena, uninstall_thread_arena, SubArena};
 use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
 use tracking::{
     CombiningQueue, CombiningStack, RecoverableHashMap, RecoverableQueue, RecoverableStack,
 };
 
-// xorshift64* — the deterministic generator every harness here uses.
-#[inline]
-fn next_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
+use crate::measure::{self, json_num, Counts, WindowCfg};
 
 /// Which structure a parallel run drives.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -167,15 +157,8 @@ pub struct ParallelResult {
     pub per_thread_ops: Vec<u64>,
     /// Actual timed-window length.
     pub elapsed: Duration,
-    /// `pwb` executions in the window.
-    pub pwb: u64,
-    /// `psync` + `pfence` executions in the window.
-    pub psync: u64,
-    /// `pwb`s elided/coalesced by the flush-elision layer in the window
-    /// (0 unless the pool was built with [`pmem::PoolCfg::flushopt`]).
-    pub pwb_elided: u64,
-    /// Fences elided inside coalescible regions in the window.
-    pub psync_coalesced: u64,
+    /// Persistence instructions executed in the window.
+    pub counts: Counts,
     /// Sub-arena chunk refills across all workers (global-cursor touches).
     pub arena_refills: u64,
     /// Lines stranded in abandoned sub-arena chunks.
@@ -191,26 +174,6 @@ impl ParallelResult {
     /// Mean per-thread operations per second.
     pub fn per_thread_ops_per_sec(&self) -> f64 {
         self.ops_per_sec() / self.threads.max(1) as f64
-    }
-
-    /// `pwb`s per completed operation.
-    pub fn pwb_per_op(&self) -> f64 {
-        self.pwb as f64 / self.ops.max(1) as f64
-    }
-
-    /// `psync`s (incl. `pfence`s) per completed operation.
-    pub fn psync_per_op(&self) -> f64 {
-        self.psync as f64 / self.ops.max(1) as f64
-    }
-
-    /// Elided/coalesced `pwb`s per completed operation.
-    pub fn pwb_elided_per_op(&self) -> f64 {
-        self.pwb_elided as f64 / self.ops.max(1) as f64
-    }
-
-    /// Coalesced fences per completed operation.
-    pub fn psync_coalesced_per_op(&self) -> f64 {
-        self.psync_coalesced as f64 / self.ops.max(1) as f64
     }
 }
 
@@ -300,84 +263,40 @@ pub fn run_parallel(cfg: &ParallelCfg) -> ParallelResult {
         flushopt: cfg.flushopt,
         ..Default::default()
     }));
-    let shard_list: Arc<Vec<Shard>> = Arc::new(
-        (0..shards)
-            .map(|i| Shard::build(cfg.subject, &pool, i, threads))
-            .collect(),
-    );
+    let shard_list: Vec<Shard> = (0..shards)
+        .map(|i| Shard::build(cfg.subject, &pool, i, threads))
+        .collect();
     // Prefill each shard from thread slot 0 so pops mostly succeed.
     {
         let ctx = ThreadCtx::new(pool.clone(), 0);
         let mut rng = cfg.seed ^ 0xF111;
-        for shard in shard_list.iter() {
+        for shard in &shard_list {
             for _ in 0..cfg.prefill {
-                shard.op(&ctx, next_rng(&mut rng) & !1); // force producer side
+                shard.op(&ctx, measure::rng(&mut rng) & !1); // force producer side
             }
         }
     }
-    pool.stats_reset();
-    let before = pool.stats();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let pool = pool.clone();
-        let shard_list = shard_list.clone();
-        let stop = stop.clone();
-        let barrier = barrier.clone();
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            if cfg.chunk_lines > 0 {
-                install_thread_arena(SubArena::new(pool.clone(), cfg.chunk_lines));
-            }
-            let ctx = ThreadCtx::new(pool.clone(), t);
-            let shard = &shard_list[t % shard_list.len()];
-            let mut rng = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-            barrier.wait();
-            let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                // Leave headroom so allocation never aborts the run.
-                if pool.remaining_lines() < 8192 {
-                    break;
-                }
-                shard.op(&ctx, next_rng(&mut rng));
-                ops += 1;
-            }
-            let (refills, waste) = match uninstall_thread_arena() {
-                Some(a) => (a.refills(), a.waste_lines() as u64),
-                None => (0, 0),
-            };
-            (ops, refills, waste)
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut per_thread_ops = Vec::with_capacity(threads);
-    let (mut refills, mut waste) = (0u64, 0u64);
-    for h in handles {
-        let (ops, r, w) = h.join().expect("parallel worker panicked");
-        per_thread_ops.push(ops);
-        refills += r;
-        waste += w;
-    }
-    let elapsed = start.elapsed();
-    let d = pool.stats().delta(&before);
+    let window = WindowCfg {
+        subject: cfg.subject.name(),
+        threads,
+        duration: cfg.duration,
+        headroom_lines: 8192,
+        chunk_lines: cfg.chunk_lines,
+        seed: cfg.seed,
+    };
+    let w = measure::window(&pool, &window, move |ctx, r| {
+        shard_list[ctx.tid() % shard_list.len()].op(ctx, r)
+    });
     ParallelResult {
         subject: cfg.subject.name(),
         threads,
         shards,
-        ops: per_thread_ops.iter().sum(),
-        per_thread_ops,
-        elapsed,
-        pwb: d.pwb_total(),
-        psync: d.psync + d.pfence,
-        pwb_elided: d.pwb_elided_total(),
-        psync_coalesced: d.psync_coalesced,
-        arena_refills: refills,
-        arena_waste_lines: waste,
+        ops: w.ops(),
+        per_thread_ops: w.per_thread_ops,
+        elapsed: w.elapsed,
+        counts: Counts::of(&w.delta),
+        arena_refills: w.arena_refills,
+        arena_waste_lines: w.arena_waste_lines,
     }
 }
 
@@ -410,7 +329,9 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    fn from_result(r: &ParallelResult) -> SweepPoint {
+    /// The point a parallel run measured.
+    pub fn from_result(r: &ParallelResult) -> SweepPoint {
+        let per_op = r.counts.per_op(r.ops);
         SweepPoint {
             subject: r.subject,
             threads: r.threads,
@@ -418,22 +339,16 @@ impl SweepPoint {
             ops: r.ops,
             ops_per_sec: r.ops_per_sec(),
             per_thread_ops_per_sec: r.per_thread_ops_per_sec(),
-            pwb_per_op: r.pwb_per_op(),
-            psync_per_op: r.psync_per_op(),
-            pwb_elided_per_op: r.pwb_elided_per_op(),
-            psync_coalesced_per_op: r.psync_coalesced_per_op(),
+            pwb_per_op: per_op.pwb,
+            psync_per_op: per_op.psync,
+            pwb_elided_per_op: per_op.pwb_elided,
+            psync_coalesced_per_op: per_op.psync_coalesced,
         }
     }
 
     /// Renders the point as a JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let f = |v: f64| {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        };
+        let f = json_num;
         format!(
             "{{\"subject\": \"{}\", \"threads\": {}, \"shards\": {}, \"ops\": {}, \
              \"ops_per_sec\": {}, \"per_thread_ops_per_sec\": {}, \
@@ -523,19 +438,15 @@ pub fn validate_throughput_json(json: &str) -> Result<(), String> {
     if n == 0 {
         return Err("no sweep points".into());
     }
-    for key in [
-        "ops_per_sec",
-        "per_thread_ops_per_sec",
-        "pwb_per_op",
-        "psync_per_op",
-    ] {
-        match crate::baseline::extract_number(json, key) {
-            Some(v) if v.is_finite() && v >= 0.0 => {}
-            Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
-            None => return Err(format!("missing numeric field {key}")),
-        }
-    }
-    Ok(())
+    crate::baseline::require_numbers(
+        json,
+        &[
+            "ops_per_sec",
+            "per_thread_ops_per_sec",
+            "pwb_per_op",
+            "psync_per_op",
+        ],
+    )
 }
 
 /// Extracts every sweep point `(subject, threads, ops_per_sec,
@@ -627,7 +538,11 @@ mod tests {
                 r.subject,
                 r.per_thread_ops
             );
-            assert!(r.pwb > 0 && r.psync > 0, "{} must persist", r.subject);
+            assert!(
+                r.counts.pwb > 0 && r.counts.psync > 0,
+                "{} must persist",
+                r.subject
+            );
         }
     }
 

@@ -3,17 +3,16 @@
 //! Keys are drawn uniformly from `[1, key_range]`; the structure is
 //! prefilled with `key_range / 2` random inserts (the paper's 250 inserts
 //! over range 500 ≈ 40 % full); each worker then draws operations from the
-//! configured mix until the deadline. Persistence-instruction counters are
-//! snapshotted around the timed window so every run reports its
-//! `pwb`/`psync` per operation alongside throughput.
+//! configured mix until the deadline. The window is [`measure::window`], so
+//! every run reports its `pwb`/`psync` per operation alongside throughput.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
 
-use crate::adapter::{build, AlgoKind, SetAlgo};
+use crate::adapter::{build, AlgoKind};
+use crate::measure::{self, WindowCfg};
 
 /// Operation mix (percentages; insert/delete split the remainder evenly).
 #[derive(Copy, Clone, Debug)]
@@ -107,24 +106,13 @@ impl RunResult {
 
     /// `pwb`s per completed operation.
     pub fn pwb_per_op(&self) -> f64 {
-        self.pwb_total() as f64 / self.ops.max(1) as f64
+        measure::per_op(self.pwb_total(), self.ops)
     }
 
     /// `psync`s (incl. `pfence`s) per completed operation.
     pub fn psync_per_op(&self) -> f64 {
-        self.psync as f64 / self.ops.max(1) as f64
+        measure::per_op(self.psync, self.ops)
     }
-}
-
-// xorshift64* — cheap deterministic per-thread RNG for the hot loop.
-#[inline]
-fn next_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
 }
 
 /// Runs one timed throughput measurement per `cfg`.
@@ -138,74 +126,36 @@ pub fn run(cfg: &RunCfg) -> RunResult {
         ..Default::default()
     }));
     let algo = build(cfg.kind, pool.clone(), cfg.threads, cfg.key_range);
-    prefill(&pool, &*algo, cfg);
+    let ctx = ThreadCtx::new(pool.clone(), 0);
+    measure::prefill(&*algo, &ctx, cfg.key_range, cfg.seed ^ 0xABCDEF);
     pool.set_psync_enabled(cfg.psync_enabled);
     pool.set_sites_mask(cfg.site_mask);
-    pool.stats_reset();
-    let before = pool.stats();
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let mut handles = Vec::with_capacity(cfg.threads);
-    for t in 0..cfg.threads {
-        let pool = pool.clone();
-        let algo: Arc<dyn SetAlgo> = algo.clone();
-        let stop = stop.clone();
-        let total_ops = total_ops.clone();
-        let barrier = barrier.clone();
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let ctx = ThreadCtx::new(pool.clone(), t);
-            let mut rng = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-            barrier.wait();
-            let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                // Leave headroom so allocation never aborts the run.
-                if pool.remaining_lines() < 4096 {
-                    break;
-                }
-                let r = next_rng(&mut rng);
-                let key = r % cfg.key_range + 1;
-                let dice = (r >> 32) % 100;
-                let f = cfg.mix.find_pct as u64;
-                if dice < f {
-                    std::hint::black_box(algo.find(&ctx, key));
-                } else if dice < f + (100 - f) / 2 {
-                    std::hint::black_box(algo.insert(&ctx, key));
-                } else {
-                    std::hint::black_box(algo.delete(&ctx, key));
-                }
-                ops += 1;
-            }
-            total_ops.fetch_add(ops, Ordering::Relaxed);
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    let elapsed = start.elapsed();
-    let after = pool.stats();
-    let d = after.delta(&before);
-    // restore pool instrumentation defaults (pool is dropped anyway)
+    let (key_range, find) = (cfg.key_range, cfg.mix.find_pct as u64);
+    let window = WindowCfg {
+        subject: cfg.kind.name(),
+        threads: cfg.threads,
+        duration: cfg.duration,
+        headroom_lines: 4096,
+        chunk_lines: 0,
+        seed: cfg.seed,
+    };
+    let w = measure::window(&pool, &window, move |ctx, r| {
+        let key = r % key_range + 1;
+        let dice = (r >> 32) % 100;
+        if dice < find {
+            std::hint::black_box(algo.find(ctx, key));
+        } else if dice < find + (100 - find) / 2 {
+            std::hint::black_box(algo.insert(ctx, key));
+        } else {
+            std::hint::black_box(algo.delete(ctx, key));
+        }
+    });
     RunResult {
-        ops: total_ops.load(Ordering::Relaxed),
-        elapsed,
-        pwb_per_site: d.pwb_per_site,
-        psync: d.psync + d.pfence,
-    }
-}
-
-fn prefill(pool: &Arc<PmemPool>, algo: &dyn SetAlgo, cfg: &RunCfg) {
-    let ctx = ThreadCtx::new(pool.clone(), 0);
-    let mut rng = cfg.seed ^ 0xABCDEF;
-    for _ in 0..cfg.key_range / 2 {
-        let key = next_rng(&mut rng) % cfg.key_range + 1;
-        algo.insert(&ctx, key);
+        ops: w.ops(),
+        elapsed: w.elapsed,
+        pwb_per_site: w.delta.pwb_per_site,
+        psync: w.delta.psync + w.delta.pfence,
     }
 }
 
