@@ -37,7 +37,7 @@ use pmem::{Backend, PmemPool, PoolCfg, SiteId, ThreadCtx};
 
 use crate::adapter::{build, AlgoKind, SetAlgo, StructureKind};
 use crate::measure::{self, json_num, time_per_op, trials, Counts, Sample};
-use crate::parallel::{run_thread_sweep, ParSubject, SweepPoint};
+use crate::parallel::{run_thread_sweep, ParSubject, ParallelCfg, SweepPoint};
 
 /// Schema identifier embedded in every report.
 ///
@@ -118,12 +118,6 @@ pub struct BenchRow {
     pub pwb_per_op: f64,
     /// Executed `psync`s+`pfence`s per operation.
     pub psync_per_op: f64,
-    /// `pwb`s elided or coalesced away by the flush-elision layer, per
-    /// operation ([`pmem::PoolCfg::flushopt`]; 0 on the layer-off rows).
-    pub pwb_elided_per_op: f64,
-    /// Fences elided inside coalescible regions, per operation (0 when the
-    /// layer is off).
-    pub psync_coalesced_per_op: f64,
 }
 
 /// The instrumentation-overhead benchmark: the primitive loop with all
@@ -159,6 +153,8 @@ pub struct BaselineReport {
 
 const KEY_RANGE: u64 = 64;
 const SEED: u64 = 0xBA5E_11AE;
+/// Pool size of every thread-sweep point.
+const SWEEP_POOL_BYTES: usize = 512 << 20;
 
 /// Drives `ops` deterministic mixed set operations (70 % find).
 fn set_loop(algo: &dyn SetAlgo, ctx: &ThreadCtx, ops: u64) {
@@ -228,23 +224,17 @@ fn row<B: FnOnce()>(
         events_per_op,
         pwb_per_op: per_op.pwb,
         psync_per_op: per_op.psync,
-        pwb_elided_per_op: per_op.pwb_elided,
-        psync_coalesced_per_op: per_op.psync_coalesced,
     }
 }
 
-/// One per-competitor list workload. With `flushopt` the pools arm the
-/// flush-elision layer and the row is named `list/<Algo>+flushopt`;
-/// `pwb_per_op` then counts only the flushes that actually executed, with
-/// the elided balance in `pwb_elided_per_op`.
-fn bench_list(kind: AlgoKind, ops: u64, flushopt: bool) -> BenchRow {
-    let suffix = if flushopt { "+flushopt" } else { "" };
+/// One per-competitor list workload.
+fn bench_list(kind: AlgoKind, ops: u64) -> BenchRow {
     row(
-        format!("list/{}{suffix}", kind.name()),
+        format!("list/{}", kind.name()),
         StructureKind::List.name(),
         kind.name(),
         ops,
-        |c| PoolCfg { flushopt, ..c },
+        |c| c,
         |pool, n| {
             let algo = build(kind, pool.clone(), 2, KEY_RANGE + 4);
             let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -462,12 +452,7 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
     let mut lineup = AlgoKind::paper_lineup().to_vec();
     lineup.push(AlgoKind::OneFile);
     for kind in &lineup {
-        rows.push(bench_list(*kind, cfg.ops, false));
-    }
-    // The same list workloads with the flush-elision layer armed: the
-    // committed before/after pairs the elision claims are judged against.
-    for kind in &lineup {
-        rows.push(bench_list(*kind, cfg.ops, true));
+        rows.push(bench_list(*kind, cfg.ops));
     }
     for structure in [
         StructureKind::Queue,
@@ -483,7 +468,7 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
         &ParSubject::all(),
         &cfg.sweep_threads,
         std::time::Duration::from_millis(cfg.sweep_window_ms),
-        512 << 20,
+        SWEEP_POOL_BYTES,
     );
     let overhead = bench_overhead(cfg.overhead_iters);
     BaselineReport {
@@ -496,6 +481,17 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
         thread_sweep,
         overhead,
     }
+}
+
+/// Measures the thread-sweep point `p` of a capture made with `cfg` again,
+/// returning [`crate::parallel::remeasure`]'s median ops/sec.
+pub fn remeasure_sweep_point(cfg: &BaselineCfg, p: &SweepPoint) -> f64 {
+    let subject = ParSubject::parse(p.subject).expect("sweep points name known subjects");
+    crate::parallel::remeasure(&ParallelCfg {
+        duration: std::time::Duration::from_millis(cfg.sweep_window_ms),
+        pool_bytes: SWEEP_POOL_BYTES,
+        ..ParallelCfg::contended(subject, p.threads)
+    })
 }
 
 impl BaselineReport {
@@ -571,29 +567,19 @@ impl BaselineReport {
     /// Console table.
     pub fn to_text(&self) -> String {
         let mut out = format!(
-            "{:<26} {:>10} {:>17} {:>12} {:>10} {:>8} {:>8} {:>8} {:>8}\n",
-            "bench",
-            "ns/op",
-            "min..max",
-            "ops/sec",
-            "events/op",
-            "pwb/op",
-            "psync/op",
-            "elide/op",
-            "coal/op"
+            "{:<26} {:>10} {:>17} {:>12} {:>10} {:>8} {:>8}\n",
+            "bench", "ns/op", "min..max", "ops/sec", "events/op", "pwb/op", "psync/op"
         );
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<26} {:>10.1} {:>17} {:>12.0} {:>10.1} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",
+                "{:<26} {:>10.1} {:>17} {:>12.0} {:>10.1} {:>8.2} {:>8.2}\n",
                 r.name,
                 r.ns_per_op,
                 format!("{:.1}..{:.1}", r.ns_min, r.ns_max),
                 r.ops_per_sec,
                 r.events_per_op,
                 r.pwb_per_op,
-                r.psync_per_op,
-                r.pwb_elided_per_op,
-                r.psync_coalesced_per_op
+                r.psync_per_op
             ));
         }
         if !self.thread_sweep.is_empty() {
@@ -646,31 +632,19 @@ fn extract_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
 
 /// The deterministic per-row fields the count gate compares, in
 /// [`BenchRow::counts`] order.
-pub const COUNT_FIELDS: [&str; 5] = [
-    "events_per_op",
-    "pwb_per_op",
-    "psync_per_op",
-    "pwb_elided_per_op",
-    "psync_coalesced_per_op",
-];
+pub const COUNT_FIELDS: [&str; 3] = ["events_per_op", "pwb_per_op", "psync_per_op"];
 
 impl BenchRow {
     /// The row's [`COUNT_FIELDS`].
-    pub fn counts(&self) -> [f64; 5] {
-        [
-            self.events_per_op,
-            self.pwb_per_op,
-            self.psync_per_op,
-            self.pwb_elided_per_op,
-            self.psync_coalesced_per_op,
-        ]
+    pub fn counts(&self) -> [f64; 3] {
+        [self.events_per_op, self.pwb_per_op, self.psync_per_op]
     }
 }
 
 /// Each row of a baseline document's `benches` section as its name and
 /// [`COUNT_FIELDS`] (`None` where an older capture lacks the field).
 /// Thread-sweep points use `subject` rather than `name` and are skipped.
-pub fn bench_rows_from_json(json: &str) -> Vec<(String, [Option<f64>; 5])> {
+pub fn bench_rows_from_json(json: &str) -> Vec<(String, [Option<f64>; 3])> {
     json.split("{\"name\": \"")
         .skip(1)
         .filter_map(|chunk| {
@@ -686,11 +660,16 @@ pub fn bench_rows_from_json(json: &str) -> Vec<(String, [Option<f64>; 5])> {
 
 /// The count gate: one line per same-named row whose counts differ from the
 /// previous capture's, compared as the three-decimal numbers both captures
-/// record. The counts are deterministic functions of the fixed scripts at a
-/// given `ops_per_bench`, so any difference is a change in what the code
-/// executes, never noise. Rows present on one side only are skipped.
-pub fn compare_bench_rows(prev: &[(String, [Option<f64>; 5])], cur: &[BenchRow]) -> Vec<String> {
-    let mut out = Vec::new();
+/// record, and one per row of the previous capture that this one lacks. The
+/// counts are deterministic functions of the fixed scripts at a given
+/// `ops_per_bench`, so any difference is a change in what the code
+/// executes, never noise. Rows new in `cur` pass.
+pub fn compare_bench_rows(prev: &[(String, [Option<f64>; 3])], cur: &[BenchRow]) -> Vec<String> {
+    let mut out: Vec<String> = prev
+        .iter()
+        .filter(|(name, _)| !cur.iter().any(|r| r.name == *name))
+        .map(|(name, _)| format!("{name} vanished: the previous capture has it, this one does not"))
+        .collect();
     for r in cur {
         let Some((_, prev_counts)) = prev.iter().find(|(n, _)| *n == r.name) else {
             continue;
@@ -735,12 +714,20 @@ pub struct PrevCheck {
 /// * **host**: when `host_cpus` or `host_thp` differ, one "host differs"
 ///   line replaces the wall-clock trends (off-cost and thread sweep), which
 ///   would only measure the machines;
+/// * **thread sweep**: a point more than 25 % below the previous one is
+///   measured again with `remeasure` (which returns a median ops/sec) and
+///   warns only if that median is still more than 25 % below;
 /// * **count gate**: when `ops_per_bench` matches, every changed count of a
-///   same-named row is a failure ([`compare_bench_rows`]);
+///   same-named row, and every row of `prev` the report lacks, is a failure
+///   ([`compare_bench_rows`]); a row new in the report prints one line;
 /// * **ratio gate**: an observers-on/off ratio more than 15 % above the
 ///   previous one is a failure. The ratio divides medians of interleaved
 ///   trials of one loop in one process, so host speed cancels out.
-pub fn check_against_prev(report: &BaselineReport, prev: &str) -> PrevCheck {
+pub fn check_against_prev(
+    report: &BaselineReport,
+    prev: &str,
+    remeasure: impl FnMut(&SweepPoint) -> f64,
+) -> PrevCheck {
     let mut check = PrevCheck::default();
     let (cpus, thp) = (host_cpus(), host_thp());
     let prev_cpus = extract_number(prev, "host_cpus").map_or(0, |v| v as usize);
@@ -759,7 +746,7 @@ pub fn check_against_prev(report: &BaselineReport, prev: &str) -> PrevCheck {
         }
         let prev_pts = crate::parallel::sweep_points_from_json(prev);
         let (lines, warnings) =
-            crate::parallel::compare_sweeps(&prev_pts, &report.thread_sweep, 0.25);
+            crate::parallel::compare_sweeps(&prev_pts, &report.thread_sweep, 0.25, remeasure);
         check.lines.extend(lines);
         if warnings > 0 {
             check.lines.push(format!(
@@ -769,7 +756,15 @@ pub fn check_against_prev(report: &BaselineReport, prev: &str) -> PrevCheck {
     }
 
     if extract_number(prev, "ops_per_bench") == Some(report.cfg.ops as f64) {
-        let changed = compare_bench_rows(&bench_rows_from_json(prev), &report.rows);
+        let prev_rows = bench_rows_from_json(prev);
+        for r in &report.rows {
+            if !prev_rows.iter().any(|(n, _)| *n == r.name) {
+                check
+                    .lines
+                    .push(format!("counts: {} is new (not in prev)", r.name));
+            }
+        }
+        let changed = compare_bench_rows(&prev_rows, &report.rows);
         if changed.is_empty() {
             check
                 .lines
@@ -843,8 +838,8 @@ pub fn validate_json(json: &str) -> Result<(), String> {
             "ratio",
         ],
     )?;
-    // Elision densities (additive since PR 9): validated when present, so
-    // earlier committed reports still pass; fresh reports always carry them.
+    // Captures from PR 9 to PR 16 also carry the densities of the since
+    // removed flush-elision layer; they must still be numbers there.
     if json.contains("\"pwb_elided_per_op\":") {
         require_numbers(json, &["pwb_elided_per_op", "psync_coalesced_per_op"])?;
     }
@@ -879,68 +874,13 @@ mod tests {
         let report = run_baseline(&cfg);
         assert_eq!(
             report.rows.len(),
-            19,
-            "6 list competitors x (flushopt off + on) + 4 structures + 3 allocator phases"
+            13,
+            "6 list competitors + 4 structures + 3 allocator phases"
         );
         for r in &report.rows {
             assert!(r.ns_per_op > 0.0, "{} measured nothing", r.name);
             assert!(r.events_per_op > 0.0, "{} counted no events", r.name);
         }
-        // The elision layer only ever removes work: a +flushopt row must
-        // execute no more pwbs than its layer-off twin, and the Capsules
-        // (Izraelevitz-transformed) list must show actual elision even on
-        // the tiny unit-test workload.
-        for r in &report.rows {
-            let Some(base) = r.name.strip_suffix("+flushopt") else {
-                assert_eq!(
-                    r.pwb_elided_per_op, 0.0,
-                    "{} elided pwbs with the layer off",
-                    r.name
-                );
-                continue;
-            };
-            let twin = report
-                .rows
-                .iter()
-                .find(|t| t.name == base)
-                .expect("every +flushopt row has a layer-off twin");
-            assert!(
-                r.pwb_per_op <= twin.pwb_per_op + 1e-9,
-                "{}: executed pwb/op grew under flushopt ({} -> {})",
-                r.name,
-                twin.pwb_per_op,
-                r.pwb_per_op
-            );
-            // Issued-count invariance: the layer moves and removes
-            // *executions*, never what the algorithm asked for, so
-            // executed + elided must reproduce the layer-off count
-            // exactly (and likewise for fences).
-            assert!(
-                (r.pwb_per_op + r.pwb_elided_per_op - twin.pwb_per_op).abs() < 1e-9,
-                "{}: issued pwb/op drifted under flushopt ({} + {} != {})",
-                r.name,
-                r.pwb_per_op,
-                r.pwb_elided_per_op,
-                twin.pwb_per_op
-            );
-            assert!(
-                (r.psync_per_op + r.psync_coalesced_per_op - twin.psync_per_op).abs() < 1e-9,
-                "{}: issued psync/op drifted under flushopt ({} + {} != {})",
-                r.name,
-                r.psync_per_op,
-                r.psync_coalesced_per_op,
-                twin.psync_per_op
-            );
-        }
-        let cap = report
-            .rows
-            .iter()
-            .find(|r| r.name == "list/Capsules+flushopt")
-            .unwrap();
-        assert!(
-            cap.pwb_elided_per_op > 0.0,
-            "Capsules Full-persist traverse must elide some pwbs"
-        );
         assert_eq!(
             report.thread_sweep.len(),
             10,
@@ -972,8 +912,6 @@ mod tests {
             events_per_op: 1.0,
             pwb_per_op: pwb,
             psync_per_op: psync,
-            pwb_elided_per_op: 0.0,
-            psync_coalesced_per_op: 0.0,
         }
     }
 
@@ -993,8 +931,6 @@ mod tests {
                 per_thread_ops_per_sec: 100.0,
                 pwb_per_op: 1.0,
                 psync_per_op: 1.0,
-                pwb_elided_per_op: 0.0,
-                psync_coalesced_per_op: 0.0,
             }],
             overhead: OverheadRow {
                 iters: 1,
@@ -1009,55 +945,104 @@ mod tests {
     fn bench_row_density_comparison_flags_regressions() {
         let prev_doc = "{\"benches\": [\n    \
             {\"name\": \"list/Tracking\", \"pwb_per_op\": 6.0, \"psync_per_op\": 3.4},\n    \
-            {\"name\": \"list/Capsules+flushopt\", \"events_per_op\": 1.0, \"pwb_per_op\": 5.0, \
-             \"psync_per_op\": 4.0, \"pwb_elided_per_op\": 0.0, \"psync_coalesced_per_op\": 0.0}\n  ]}";
+            {\"name\": \"list/Capsules\", \"events_per_op\": 1.0, \"pwb_per_op\": 5.0, \
+             \"psync_per_op\": 4.0}\n  ]}";
         let prev = bench_rows_from_json(prev_doc);
         assert_eq!(prev.len(), 2);
         assert_eq!(
             prev[0],
-            (
-                "list/Tracking".to_string(),
-                [None, Some(6.0), Some(3.4), None, None]
-            )
+            ("list/Tracking".to_string(), [None, Some(6.0), Some(3.4)])
         );
-        // Equal counts, fields an older capture lacks, and unknown rows:
-        // silent.
+        // Equal counts, fields an older capture lacks, and new rows: silent.
         let changed = compare_bench_rows(
             &prev,
             &[
                 row("list/Tracking", 6.0, 3.4),
-                row("list/Capsules+flushopt", 5.0, 4.0),
+                row("list/Capsules", 5.0, 4.0),
                 row("queue/Tracking", 99.0, 99.0),
             ],
         );
         assert!(changed.is_empty(), "{changed:?}");
         // Any change, down as well as up, and below the old 5% tolerance.
         for pwb in [5.001, 4.0, 9.0] {
-            let changed = compare_bench_rows(&prev, &[row("list/Capsules+flushopt", pwb, 4.0)]);
+            let changed = compare_bench_rows(
+                &prev,
+                &[
+                    row("list/Tracking", 6.0, 3.4),
+                    row("list/Capsules", pwb, 4.0),
+                ],
+            );
             assert_eq!(changed.len(), 1, "{changed:?}");
             assert!(
-                changed[0].contains("list/Capsules+flushopt pwb_per_op changed: 5.000 ->"),
+                changed[0].contains("list/Capsules pwb_per_op changed: 5.000 ->"),
                 "{changed:?}"
             );
         }
     }
 
     #[test]
+    fn vanished_row_fails_and_new_row_passes() {
+        let prev = report(vec![
+            row("list/Tracking", 6.0, 3.4),
+            row("list/Romulus", 2.0, 1.0),
+        ])
+        .to_json();
+        let vanished =
+            check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.4)]), &prev, |p| {
+                p.ops_per_sec
+            });
+        assert_eq!(vanished.failures.len(), 1, "{vanished:?}");
+        assert!(
+            vanished.failures[0].starts_with("list/Romulus vanished"),
+            "{vanished:?}"
+        );
+
+        let prev = report(vec![row("list/Tracking", 6.0, 3.4)]).to_json();
+        let added = check_against_prev(
+            &report(vec![
+                row("list/Tracking", 6.0, 3.4),
+                row("list/Romulus", 2.0, 1.0),
+            ]),
+            &prev,
+            |p| p.ops_per_sec,
+        );
+        assert!(added.failures.is_empty(), "{added:?}");
+        let info: Vec<_> = added
+            .lines
+            .iter()
+            .filter(|l| l.contains("is new"))
+            .collect();
+        assert_eq!(info, ["counts: list/Romulus is new (not in prev)"]);
+        assert!(added
+            .lines
+            .iter()
+            .any(|l| l.contains("every shared row equals prev")));
+    }
+
+    #[test]
     fn count_gate_applies_only_at_equal_ops() {
         let prev = report(vec![row("list/Tracking", 6.0, 3.4)]).to_json();
-        let same = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.4)]), &prev);
+        let same = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.4)]), &prev, |p| {
+            p.ops_per_sec
+        });
         assert!(same.failures.is_empty(), "{same:?}");
         assert!(same
             .lines
             .iter()
             .any(|l| l.contains("every shared row equals prev")));
 
-        let moved = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.5)]), &prev);
+        let moved = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.5)]), &prev, |p| {
+            p.ops_per_sec
+        });
         assert_eq!(moved.failures.len(), 1, "{moved:?}");
         assert!(moved.failures[0].contains("psync_per_op"), "{moved:?}");
 
         let other_ops = prev.replace("\"ops_per_bench\": 2000", "\"ops_per_bench\": 40000");
-        let skipped = check_against_prev(&report(vec![row("list/Tracking", 6.0, 3.5)]), &other_ops);
+        let skipped = check_against_prev(
+            &report(vec![row("list/Tracking", 6.0, 3.5)]),
+            &other_ops,
+            |p| p.ops_per_sec,
+        );
         assert!(skipped.failures.is_empty(), "{skipped:?}");
         assert!(skipped
             .lines
@@ -1070,15 +1055,17 @@ mod tests {
         let prev = report(vec![])
             .to_json()
             .replace("\"ratio\": 6.000", "\"ratio\": 5.000");
-        let check = check_against_prev(&report(vec![]), &prev);
+        let check = check_against_prev(&report(vec![]), &prev, |p| p.ops_per_sec);
         assert_eq!(check.failures.len(), 1, "{check:?}");
         assert!(check.failures[0].contains("observer overhead ratio regressed by 20.0%"));
         let prev = report(vec![])
             .to_json()
             .replace("\"ratio\": 6.000", "\"ratio\": 5.500");
-        assert!(check_against_prev(&report(vec![]), &prev)
-            .failures
-            .is_empty());
+        assert!(
+            check_against_prev(&report(vec![]), &prev, |p| p.ops_per_sec)
+                .failures
+                .is_empty()
+        );
     }
 
     #[test]
@@ -1088,7 +1075,7 @@ mod tests {
         slow.thread_sweep[0].ops_per_sec = 1e6;
         let prev = slow.to_json();
 
-        let same_host = check_against_prev(&cur, &prev);
+        let same_host = check_against_prev(&cur, &prev, |p| p.ops_per_sec);
         assert!(
             same_host.lines.iter().any(|l| l.contains("REGRESSION")),
             "{same_host:?}"
@@ -1101,7 +1088,7 @@ mod tests {
         );
         let mut moved = report(vec![row("list/Tracking", 7.0, 3.4)]);
         moved.overhead.ratio = 60.0;
-        let check = check_against_prev(&moved, &other);
+        let check = check_against_prev(&moved, &other, |p| p.ops_per_sec);
         assert!(
             check.lines[0].starts_with("host differs from prev"),
             "{check:?}"
@@ -1117,7 +1104,8 @@ mod tests {
             &format!("\"host_thp\": \"{}\"", host_thp()),
             "\"host_thp\": \"x\"",
         );
-        assert!(check_against_prev(&cur, &thp).lines[0].starts_with("host differs from prev"));
+        assert!(check_against_prev(&cur, &thp, |p| p.ops_per_sec).lines[0]
+            .starts_with("host differs from prev"));
     }
 
     #[test]

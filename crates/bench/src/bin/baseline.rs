@@ -7,11 +7,13 @@
 //!   --out PATH         output JSON path (default BENCH_<label>.json)
 //!   --prev PATH        earlier BENCH_*.json to compare against: trend
 //!                      lines for off-cost and the thread sweep (warn
-//!                      only, skipped when the host differs), plus two
-//!                      hard gates (exit 1): every per-row count must equal
-//!                      the previous capture's when ops_per_bench matches,
-//!                      and the observers-on/off ratio must not worsen by
-//!                      more than 15%
+//!                      only, skipped when the host differs; a point more
+//!                      than 25% down is re-measured as a median of 5
+//!                      windows before it warns), plus two hard gates
+//!                      (exit 1): when ops_per_bench matches, every row of
+//!                      the previous capture must be present with equal
+//!                      counts, and the observers-on/off ratio must not
+//!                      worsen by more than 15%
 //!   --ops N            operations per micro-workload (overrides tier)
 //! ```
 //!
@@ -21,7 +23,8 @@
 //! gates run last, so a failed gate still leaves the capture on disk.
 
 use bench::baseline::{
-    check_against_prev, extract_number, run_baseline, validate_json, write_capture, BaselineCfg,
+    check_against_prev, extract_number, remeasure_sweep_point, run_baseline, validate_json,
+    write_capture, BaselineCfg,
 };
 
 fn main() {
@@ -88,7 +91,7 @@ fn main() {
     }
 
     if let Some(doc) = &prev_doc {
-        let check = check_against_prev(&report, doc);
+        let check = check_against_prev(&report, doc, |p| remeasure_sweep_point(&cfg, p));
         for l in &check.lines {
             println!("{l}");
         }

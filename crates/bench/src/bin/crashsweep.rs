@@ -28,10 +28,6 @@
 //!                          verdict audits the free lists), plus the allocator's
 //!                          own crash sweep; CSVs gain a churn_ prefix
 //!   --palloc               sweep only the allocator itself (implies reclaim)
-//!   --flushopt             arm the flush-elision layer on every replay pool:
-//!                          the event space shrinks to the non-elided
-//!                          instructions and the sweep proves the survivors
-//!                          still recover at every crash point
 //!
 //!   --smoke                CI tier: the churn matrix over the retiring pairs
 //!                          with a short script and sampled points (fast,
@@ -84,7 +80,6 @@ fn main() {
     base.seed = cli.seed.unwrap_or(base.seed);
     base.script_len = cli.ops.unwrap_or(base.script_len);
     base.pool_bytes = cli.pool_bytes.unwrap_or(base.pool_bytes);
-    base.flushopt = cli.flushopt;
 
     if smoke {
         // CI tier: churn matrix over the pairs that actually retire nodes,
@@ -122,7 +117,7 @@ fn main() {
     }
 
     println!(
-        "crash sweep: {} pair(s), engine={}, adversary={}, shard {}/{}, sample {}, paranoia {}, seed {:#x}{}",
+        "crash sweep: {} pair(s), engine={}, adversary={}, shard {}/{}, sample {}, paranoia {}, seed {:#x}",
         pairs.len(),
         if base.checkpoint { "checkpoint" } else { "scratch" },
         base.adversary.name(),
@@ -131,7 +126,6 @@ fn main() {
         base.sample,
         base.paranoia,
         base.seed,
-        if base.flushopt { ", flushopt" } else { "" },
     );
 
     let mut failed = false;

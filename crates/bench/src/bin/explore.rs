@@ -19,9 +19,6 @@
 //!   --shard I/N            run only (strategy, schedule) cells with index % N == I
 //!   --pool-mb M            pool size (default 64)
 //!   --out DIR              CSV directory (default results/explore)
-//!   --flushopt             arm the flush-elision layer on the shared pool:
-//!                          elided events vanish from the yield-point stream
-//!                          and every injected crash must still recover
 //!   --smoke                quick CI tier: 1 schedule per strategy, 1 crash sample
 //! ```
 //!
@@ -72,7 +69,6 @@ fn main() {
     base.seed = cli.seed.unwrap_or(base.seed);
     base.ops_per_thread = cli.ops.unwrap_or(base.ops_per_thread);
     base.pool_bytes = cli.pool_bytes.unwrap_or(base.pool_bytes);
-    base.flushopt = cli.flushopt;
     base.crash = if crash_on {
         CrashMode::Sampled {
             per_schedule: crash_samples,

@@ -10,9 +10,8 @@
 //!   --label L          report label (default pr7)
 //!   --out PATH         output JSON path (default BENCH_throughput_<label>.json)
 //!   --prev PATH        earlier report to compare aggregate ops/sec against
-//!   --flushopt         arm the flush-elision layer on every point's pool
-//!                      (elision densities land in pwb_elided_per_op /
-//!                      psync_coalesced_per_op, committed in the JSON)
+//!                      (a point more than 25% down is re-measured as a
+//!                      median of 5 windows before it warns)
 //! ```
 //!
 //! Every point runs its threads as real concurrent OS threads — no turn
@@ -26,7 +25,7 @@ use std::time::Duration;
 
 use bench::baseline::write_capture;
 use bench::parallel::{
-    compare_sweeps, run_parallel, sweep_points_from_json, throughput_json,
+    compare_sweeps, remeasure, run_parallel, sweep_points_from_json, throughput_json,
     validate_throughput_json, ParSubject, ParallelCfg, SweepPoint,
 };
 
@@ -46,12 +45,10 @@ fn main() {
     let mut label = "pr7".to_string();
     let mut out: Option<std::path::PathBuf> = None;
     let mut prev: Option<std::path::PathBuf> = None;
-    let mut flushopt = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" => smoke = true,
-            "--flushopt" => flushopt = true,
             "--threads" => {
                 i += 1;
                 threads_list = Some(parse_list(&args[i]));
@@ -114,16 +111,15 @@ fn main() {
         "{:<16} {:>3} {:>3} {:>10} {:>12} {:>12} {:>8} {:>9}",
         "subject", "thr", "shd", "ops", "ops/sec", "ops/sec/thr", "pwb/op", "psync/op"
     );
+    let point_cfg = |subject, threads| ParallelCfg {
+        shards: if shards == 0 { threads } else { shards },
+        duration,
+        ..ParallelCfg::contended(subject, threads)
+    };
     let mut points: Vec<SweepPoint> = Vec::new();
     for &subject in &subjects {
         for &threads in &threads_list {
-            let cfg = ParallelCfg {
-                shards: if shards == 0 { threads } else { shards },
-                duration,
-                flushopt,
-                ..ParallelCfg::contended(subject, threads)
-            };
-            let p = SweepPoint::from_result(&run_parallel(&cfg));
+            let p = SweepPoint::from_result(&run_parallel(&point_cfg(subject, threads)));
             println!(
                 "{:<16} {:>3} {:>3} {:>10} {:>12.0} {:>12.0} {:>8.2} {:>9.2}",
                 p.subject,
@@ -145,7 +141,11 @@ fn main() {
         if prev_pts.is_empty() {
             println!("prev {} has no sweep points to compare", p.display());
         } else {
-            let (lines, warnings) = compare_sweeps(&prev_pts, &points, 0.25);
+            let (lines, warnings) = compare_sweeps(&prev_pts, &points, 0.25, |p| {
+                let subject =
+                    ParSubject::parse(p.subject).expect("sweep points name known subjects");
+                remeasure(&point_cfg(subject, p.threads))
+            });
             for l in lines {
                 println!("{l}");
             }

@@ -17,7 +17,7 @@
 //!   100 (map); explorer thread `t` draws from the explore seed salted per
 //!   shape and thread, with base `(t+1)·1000` (map: thread 0 puts 8/8 over
 //!   value base 100, the others put 4/8 over value base 200).
-//! * **The factory.** `build_case` builds the pool (reclaim, flushopt,
+//! * **The factory.** `build_case` builds the pool (reclaim,
 //!   site mask, optional trace), registers site names, builds the subject
 //!   and the per-thread scripts of a `(structure, algo, threads)` triple,
 //!   and hands them to an engine-side `CaseVisitor` — generically, so
@@ -134,7 +134,6 @@ pub(crate) struct CaseCfg {
     pub(crate) plan: Plan,
     pub(crate) pool_bytes: usize,
     pub(crate) reclaim: bool,
-    pub(crate) flushopt: bool,
     pub(crate) site_mask: u64,
 }
 
@@ -143,7 +142,6 @@ impl CaseCfg {
     fn pool(&self, traced: bool) -> Arc<PmemPool> {
         let mut pc = PoolCfg {
             reclaim: self.reclaim,
-            flushopt: self.flushopt,
             ..PoolCfg::model(self.pool_bytes)
         };
         if traced {
@@ -344,8 +342,6 @@ pub struct Cli {
     pub ops: Option<usize>,
     /// `--pool-mb M`, in bytes.
     pub pool_bytes: Option<usize>,
-    /// `--flushopt`.
-    pub flushopt: bool,
     /// `--out DIR`.
     pub out: PathBuf,
 }
@@ -368,7 +364,6 @@ impl Cli {
             seed: None,
             ops: None,
             pool_bytes: None,
-            flushopt: false,
             out: default_out.into(),
         };
         let mut args = std::env::args().skip(1);
@@ -418,7 +413,6 @@ impl Cli {
                 "--seed" => cli.seed = Some(number(&value(), "seed")),
                 "--ops" => cli.ops = Some(number(&value(), "ops count")),
                 "--pool-mb" => cli.pool_bytes = Some(number::<usize>(&value(), "pool size") << 20),
-                "--flushopt" => cli.flushopt = true,
                 "--out" => cli.out = value().into(),
                 f => {
                     if !own(f, &mut value) {

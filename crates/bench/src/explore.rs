@@ -523,13 +523,6 @@ pub struct ExploreCfg {
     /// point), and every verdict additionally audits the allocator's lists.
     /// Default `false`.
     pub reclaim: bool,
-    /// Build the pool with the flush-elision layer armed
-    /// ([`pmem::PoolCfg::flushopt`]). Under the cooperative scheduler this
-    /// exercises the layer's concurrency story: elided `pwb`s and coalesced
-    /// fences vanish from the yield-point stream (schedules get shorter),
-    /// deferred flushes drain at another virtual thread's fence, and every
-    /// injected crash must still recover detectably. Default `false`.
-    pub flushopt: bool,
 }
 
 impl ExploreCfg {
@@ -551,7 +544,6 @@ impl ExploreCfg {
             pool_bytes: 64 << 20,
             fuel: 5_000_000,
             reclaim: false,
-            flushopt: false,
         }
     }
 }
@@ -662,8 +654,8 @@ fn worker_body<Sub: CrashSubject>(
     pool: &Arc<PmemPool>,
     script: &[Op<Sub>],
 ) -> WorkerOut<Sub::S> {
-    // Bind logical thread `me` on this OS thread (trace labels, lint
-    // attributions and flush-elision slots key by it).
+    // Bind logical thread `me` on this OS thread (trace labels and lint
+    // attributions key by it).
     let ctx = &ThreadCtx::new(pool.clone(), me);
     let hook_sched = sched.clone();
     pmem::set_yield_hook(Box::new(move || hook_sched.yield_point(me)));
@@ -1094,7 +1086,6 @@ pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
         },
         pool_bytes: cfg.pool_bytes,
         reclaim: cfg.reclaim,
-        flushopt: cfg.flushopt,
         site_mask: u64::MAX,
     };
     build_case(&case, Explore(cfg))

@@ -112,7 +112,6 @@ impl FigCfg {
             seed: 0xD1CE,
             psync_enabled: true,
             site_mask: u64::MAX,
-            flushopt: false,
         }
     }
 }
@@ -479,8 +478,6 @@ pub fn fig_attribution(cfg: &FigCfg, name: &str) -> Csv {
             "dirty_ratio",
             "redundant",
             "unflushed",
-            "pwb_per_op_flushopt",
-            "elided_per_op_flushopt",
         ],
     );
     const OPS: u64 = 4_000;
@@ -494,55 +491,39 @@ pub fn fig_attribution(cfg: &FigCfg, name: &str) -> Csv {
         AlgoKind::OneFile,
     ];
     for kind in kinds {
-        // Each algorithm runs the identical script twice: once plain (the
-        // lint's redundancy attribution — the "before" columns) and once
-        // with the flush-elision layer armed (the "after" columns: what of
-        // that redundancy the layer actually removes, per site). The lint
-        // stays on in the second run so its elided-dirty-pwb cross-check
-        // guards every elision the report counts.
-        let measure = |flushopt: bool| {
-            let pool = std::sync::Arc::new(pmem::PmemPool::new(pmem::PoolCfg {
-                capacity: 256 << 20,
-                backend: Backend::Noop,
-                shadow: false,
-                max_threads: 8,
-                lint: true,
-                flushopt,
-                ..Default::default()
-            }));
-            let algo = crate::adapter::build(kind, pool.clone(), 1, cfg.key_range);
-            let ctx = pmem::ThreadCtx::new(pool.clone(), 0);
-            // Attribute only steady-state operations, not construction.
-            pool.stats_reset();
-            pool.lint_clear();
-            let mut rng = 0x5EED_D1CEu64;
-            for i in 0..OPS {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let key = (rng >> 33) % cfg.key_range + 1;
-                match i % 4 {
-                    0 => {
-                        algo.insert(&ctx, key);
-                    }
-                    2 => {
-                        algo.delete(&ctx, key);
-                    }
-                    _ => {
-                        algo.find(&ctx, key);
-                    }
+        let pool = std::sync::Arc::new(pmem::PmemPool::new(pmem::PoolCfg {
+            capacity: 256 << 20,
+            backend: Backend::Noop,
+            shadow: false,
+            max_threads: 8,
+            lint: true,
+            ..Default::default()
+        }));
+        let algo = crate::adapter::build(kind, pool.clone(), 1, cfg.key_range);
+        let ctx = pmem::ThreadCtx::new(pool.clone(), 0);
+        // Attribute only steady-state operations, not construction.
+        pool.stats_reset();
+        pool.lint_clear();
+        let mut rng = 0x5EED_D1CEu64;
+        for i in 0..OPS {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (rng >> 33) % cfg.key_range + 1;
+            match i % 4 {
+                0 => {
+                    algo.insert(&ctx, key);
+                }
+                2 => {
+                    algo.delete(&ctx, key);
+                }
+                _ => {
+                    algo.find(&ctx, key);
                 }
             }
-            (pool.stats(), pool.lint_report(), pool)
-        };
-        let (stats, report, pool) = measure(false);
-        let (fo_stats, fo_report, _fo_pool) = measure(true);
-        assert_eq!(
-            fo_report.count(LintKind::ElidedDirtyPwb),
-            0,
-            "{}: flushopt elided a pwb the lint believes was of a dirty line",
-            kind.name()
-        );
+        }
+        let stats = pool.stats();
+        let report = pool.lint_report();
         for (site, pwbs) in stats.site_rows() {
             let unflushed = report
                 .of_kind(LintKind::UnflushedDirty)
@@ -557,11 +538,6 @@ pub fn fig_attribution(cfg: &FigCfg, name: &str) -> Csv {
                 format!("{:.3}", report.dirty_ratio(site)),
                 report.pwb_redundant[site.0 as usize].to_string(),
                 unflushed.to_string(),
-                format!("{:.3}", fo_stats.pwb_at(site) as f64 / OPS as f64),
-                format!(
-                    "{:.3}",
-                    fo_stats.pwb_elided_per_site[site.0 as usize] as f64 / OPS as f64
-                ),
             ]);
         }
     }

@@ -167,16 +167,6 @@ pub struct SweepCfg {
     /// ([`PmemPool::palloc_check`]). Default `false` (bump arena; event
     /// streams bit-identical to before this knob existed).
     pub reclaim: bool,
-    /// Build pools with the flush-elision layer armed
-    /// ([`pmem::PoolCfg::flushopt`]): `pwb`s of clean lines elide, dirty
-    /// ones defer into the per-thread combining buffer, and fences inside
-    /// the algorithms' coalescible regions elide when nothing is pending.
-    /// Elided events are invisible to crash-point enumeration (like masked
-    /// sites), so the event space shrinks — the sweep then proves the
-    /// *remaining* points all recover, i.e. that the layer elided only
-    /// genuinely redundant instructions. Default `false` (event streams
-    /// bit-identical to before this knob existed).
-    pub flushopt: bool,
     /// Multi-crash tier: number of *second* crash points injected per
     /// first crash point (`0` = off, the classic single-crash sweep,
     /// bit-identical to before this knob existed). When `> 0`, each
@@ -213,7 +203,6 @@ impl SweepCfg {
             site_mask: u64::MAX,
             reclaim: false,
             multi_crash: 0,
-            flushopt: false,
         }
     }
 }
@@ -430,7 +419,6 @@ fn case_cfg(cfg: &SweepCfg, palloc: bool) -> CaseCfg {
         },
         pool_bytes: cfg.pool_bytes,
         reclaim: cfg.reclaim,
-        flushopt: cfg.flushopt,
         site_mask: cfg.site_mask,
     }
 }

@@ -51,14 +51,6 @@ pub struct RunCfg {
     pub psync_enabled: bool,
     /// `pwb` site mask (bit *i* enables site *i*); `u64::MAX` = all.
     pub site_mask: u64,
-    /// Arm the flush-elision layer ([`pmem::PoolCfg::flushopt`]): redundant
-    /// `pwb`s elide against the per-line flush-state table and fences inside
-    /// the algorithms' coalescible regions elide when nothing is pending.
-    /// Not meaningful combined with `psync_enabled: false` (a masked fence
-    /// returns before draining the combining buffer, so up to its capacity
-    /// in flushes would linger unexecuted — the `[no psyncs]` variants are
-    /// measured without the layer). Default `false`.
-    pub flushopt: bool,
 }
 
 impl RunCfg {
@@ -75,7 +67,6 @@ impl RunCfg {
             seed: 0xD1CE,
             psync_enabled: true,
             site_mask: u64::MAX,
-            flushopt: false,
         }
     }
 }
@@ -122,7 +113,6 @@ pub fn run(cfg: &RunCfg) -> RunResult {
         backend: cfg.backend,
         shadow: false,
         max_threads: cfg.threads.max(1).next_power_of_two().max(8),
-        flushopt: cfg.flushopt,
         ..Default::default()
     }));
     let algo = build(cfg.kind, pool.clone(), cfg.threads, cfg.key_range);

@@ -181,11 +181,6 @@ impl CapsulesList {
     pub fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
         assert!(key > harris::KEY_MIN && key < harris::KEY_MAX);
         let pool = &*self.pool;
-        // Whole-operation fence-coalescing region (see `harris::search`):
-        // capsule-record and rcas fences always follow a fresh store and so
-        // always execute; only true identity fences (re-flushes of clean
-        // traversed lines) are elided.
-        let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
         let rec = self.rec(ctx);
         let seq = self.write_capsule1(ctx, OP_INSERT, key);
         loop {
@@ -234,7 +229,6 @@ impl CapsulesList {
     pub fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
         assert!(key > harris::KEY_MIN && key < harris::KEY_MAX);
         let pool = &*self.pool;
-        let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
         let rec = self.rec(ctx);
         let seq = self.write_capsule1(ctx, OP_DELETE, key);
         loop {
@@ -291,7 +285,6 @@ impl CapsulesList {
     pub fn find_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
         assert!(key > harris::KEY_MIN && key < harris::KEY_MAX);
         let pool = &*self.pool;
-        let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
         self.write_capsule1(ctx, OP_FIND, key);
         let s = harris::search(pool, ctx.tid(), self.head, key, self.policy.search());
         let found = pool.load(s.curr.add(N_KEY)) == key;

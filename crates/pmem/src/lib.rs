@@ -109,7 +109,6 @@ pub mod addr;
 pub mod arena;
 pub mod crash;
 mod epoch;
-pub mod flushopt;
 pub mod lint;
 pub mod palloc;
 pub mod persist;
@@ -126,10 +125,7 @@ pub use crash::{run_crashable, CrashCtl, CrashPoint};
 pub use lint::{Diagnostic, LintKind, LintReport};
 pub use palloc::{MAX_CLASS, PALLOC_SITES};
 pub use persist::{Backend, SiteId, MAX_SITES};
-pub use pool::{
-    exhaustion_message, FenceRegionGuard, PmemPool, PoolCfg, PoolSnapshot, EXHAUSTED_PREFIX,
-    NUM_ROOTS,
-};
+pub use pool::{exhaustion_message, PmemPool, PoolCfg, PoolSnapshot, EXHAUSTED_PREFIX, NUM_ROOTS};
 pub use sched::{
     clear_spin_hook, clear_yield_hook, has_spin_hook, has_yield_hook, set_spin_hook,
     set_yield_hook, yield_spin,

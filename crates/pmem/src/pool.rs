@@ -8,10 +8,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 use crate::addr::{PAddr, WORDS_PER_LINE};
 use crate::crash::CrashCtl;
 use crate::epoch::{
-    new_epoch, Epoch, EP_CRASH, EP_FLUSHOPT, EP_FOOT, EP_LINT, EP_MASK, EP_SCHED, EP_SHADOW,
-    EP_TRACE,
+    new_epoch, Epoch, EP_CRASH, EP_FOOT, EP_LINT, EP_MASK, EP_SCHED, EP_SHADOW, EP_TRACE,
 };
-use crate::flushopt::{FlushDecision, FlushOpt, FlushOptSnap};
 use crate::lint::{FlushLint, LineState, LintReport};
 use crate::persist::{self, Backend, SiteId, SiteMask, MAX_SITES};
 use crate::shadow::{CrashAdversary, LineSnap, ShadowMem};
@@ -22,14 +20,11 @@ use crate::trace::{logical_tid, EventKind, Trace, TraceSnapshot, NO_SITE};
 /// only crash injection, the trace and the scheduler are relevant.
 const EP_LOAD_SLOW: u64 = EP_CRASH | EP_TRACE | EP_SCHED;
 /// Epoch bits that force `store`/`cas` off their fast paths (the lint
-/// tracks writes, the replay footprint tracks written lines, the
-/// flush-elision layer must see every store re-dirty its line).
-const EP_DATA_SLOW: u64 = EP_CRASH | EP_TRACE | EP_LINT | EP_FOOT | EP_SCHED | EP_FLUSHOPT;
+/// tracks writes, the replay footprint tracks written lines).
+const EP_DATA_SLOW: u64 = EP_CRASH | EP_TRACE | EP_LINT | EP_FOOT | EP_SCHED;
 /// Epoch bits that force `pwb`/`pfence`/`psync` off their fast paths (the
-/// shadow crash model additionally hooks persistence instructions, and the
-/// flush-elision layer decides each instruction's fate).
-const EP_PERSIST_SLOW: u64 =
-    EP_CRASH | EP_TRACE | EP_LINT | EP_SHADOW | EP_FOOT | EP_SCHED | EP_FLUSHOPT;
+/// shadow crash model additionally hooks persistence instructions).
+const EP_PERSIST_SLOW: u64 = EP_CRASH | EP_TRACE | EP_LINT | EP_SHADOW | EP_FOOT | EP_SCHED;
 
 /// Number of root-directory cells (each on its own cache line).
 pub const NUM_ROOTS: usize = 16;
@@ -85,14 +80,6 @@ pub struct PoolCfg {
     /// instrumented events. A `reclaim` pool spans at most
     /// [`crate::palloc::MAX_RECLAIM_LINES`] cache lines.
     pub reclaim: bool,
-    /// Enable the flush-elision and coalescing layer (see
-    /// [`crate::flushopt`]): a `pwb` of a line already flushed since its
-    /// last store becomes a no-op, same-line `pwb`s between two fences are
-    /// write-combined, and fences inside [`PmemPool::coalesce_fences`]
-    /// regions elide when nothing is pending. Off by default — the
-    /// optimization is itself under test, so every harness runs both ways.
-    /// Can be toggled later with [`PmemPool::set_flushopt_enabled`].
-    pub flushopt: bool,
 }
 
 impl Default for PoolCfg {
@@ -106,7 +93,6 @@ impl Default for PoolCfg {
             lint: false,
             trace_capacity: 4096,
             reclaim: false,
-            flushopt: false,
         }
     }
 }
@@ -141,7 +127,7 @@ const HUGE_PAGE: usize = 2 << 20;
 /// Allocates a zero-initialized `AtomicU64` slice without touching every
 /// page up front: the OS maps zero pages lazily, on first touch, so
 /// multi-GiB pools are cheap until used. Every pool table comes from here:
-/// the pool words and the shadow, lint and flush-elision tables.
+/// the pool words and the shadow and lint tables.
 ///
 /// On Linux, the part of the allocation that [`huge_page_range`] picks is
 /// advised `MADV_HUGEPAGE`, so where the kernel's transparent huge pages
@@ -208,7 +194,10 @@ fn advise_huge_pages(_start: usize, _len: usize) {}
 /// persistence instructions.
 pub struct PmemPool {
     words: Box<[AtomicU64]>,
-    next: AtomicUsize,
+    /// Bump cursor, written by every arena allocation. On a line of its
+    /// own, so concurrent allocators never invalidate the line holding
+    /// `words`, which every primitive reads.
+    next: OwnLine<AtomicUsize>,
     backend: Backend,
     shadow: Option<ShadowMem>,
     stats: Stats,
@@ -227,7 +216,9 @@ pub struct PmemPool {
     /// for [`Self::remaining_lines`]: decremented *before* a pop takes
     /// effect, incremented only once a push is durable, and recomputed from
     /// the lists at the quiescent points (`restore`/`crash`/recovery).
-    pub(crate) free_lines: AtomicUsize,
+    /// Written by every free-list pop and push, so on a line of its own
+    /// like `next`.
+    pub(crate) free_lines: OwnLine<AtomicUsize>,
     /// Debug-only ledger of retired-but-not-yet-quiescent block addresses,
     /// used to assert that no address is re-issued before a full epoch
     /// quiescence (see `palloc`).
@@ -236,10 +227,6 @@ pub struct PmemPool {
     max_threads: usize,
     trace: Trace,
     lint: FlushLint,
-    /// The flush-elision layer (see [`crate::flushopt`]); allocated
-    /// unconditionally (its tables are lazily zero-mapped like the
-    /// lint's), consulted only under [`EP_FLUSHOPT`].
-    flushopt: FlushOpt,
     /// The fused instrumentation epoch (see [`crate::epoch`]): one relaxed
     /// load of this word answers every "do I need the slow path?" question
     /// a primitive has — crash injection armed, trace on, lint on, shadow
@@ -252,6 +239,21 @@ pub struct PmemPool {
     site_names: RwLock<[Option<&'static str>; MAX_SITES]>,
     /// Replay-footprint tracking (see [`EP_FOOT`] and [`Self::restore`]).
     foot: Mutex<Footprint>,
+}
+
+/// A value alone on its 64-byte cache line. Where the compiler places the
+/// pool's fields is otherwise unspecified, and a write-hot counter sharing
+/// a line with a field every primitive reads makes each write a coherence
+/// miss for every other thread's next load or store.
+#[repr(align(64))]
+pub(crate) struct OwnLine<T>(T);
+
+impl<T> std::ops::Deref for OwnLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 /// Which lines the pool has dirtied since the last [`PmemPool::restore`].
@@ -318,14 +320,13 @@ impl PmemPool {
         let epoch = new_epoch(
             if cfg.trace { EP_TRACE } else { 0 }
                 | if cfg.lint { EP_LINT } else { 0 }
-                | if cfg.shadow { EP_SHADOW } else { 0 }
-                | if cfg.flushopt { EP_FLUSHOPT } else { 0 },
+                | if cfg.shadow { EP_SHADOW } else { 0 },
         );
         let trace = Trace::new(cfg.trace_capacity, cfg.trace);
         let pool_uid = trace.uid();
         let pool = PmemPool {
             words,
-            next: AtomicUsize::new(heap_base),
+            next: OwnLine(AtomicUsize::new(heap_base)),
             backend: cfg.backend,
             shadow: if cfg.shadow {
                 Some(ShadowMem::new(nwords))
@@ -339,13 +340,12 @@ impl PmemPool {
             palloc_base,
             heap_base,
             reclaim: cfg.reclaim,
-            free_lines: AtomicUsize::new(0),
+            free_lines: OwnLine(AtomicUsize::new(0)),
             #[cfg(debug_assertions)]
             retired_debug: Mutex::new(std::collections::HashSet::new()),
             max_threads: cfg.max_threads,
             trace,
             lint: FlushLint::new(cfg.lint, nwords / WORDS_PER_LINE, pool_uid),
-            flushopt: FlushOpt::new(nwords / WORDS_PER_LINE, pool_uid),
             epoch,
             site_names: RwLock::new([None; MAX_SITES]),
             foot: Mutex::new(Footprint::default()),
@@ -491,20 +491,11 @@ impl PmemPool {
         for w in start..start + n {
             self.words[w].store(0, Ordering::Release);
         }
-        let bits = self.epoch_bits(EP_FOOT | EP_FLUSHOPT);
-        if bits != 0 {
+        if self.epoch_bits(EP_FOOT) != 0 {
             let first = start / WORDS_PER_LINE;
             let last = (start + n - 1) / WORDS_PER_LINE;
             for line in first..=last {
-                if bits & EP_FOOT != 0 {
-                    self.note_line(line);
-                }
-                // The zeros dirtied the lines like any store would; the
-                // elision layer must not treat a stale flush as covering
-                // them.
-                if bits & EP_FLUSHOPT != 0 {
-                    self.flushopt.on_store(line);
-                }
+                self.note_line(line);
             }
         }
     }
@@ -597,9 +588,6 @@ impl PmemPool {
             self.crash_ctl.tick();
         }
         self.words[a.word()].store(v, Ordering::Release);
-        if bits & EP_FLUSHOPT != 0 {
-            self.flushopt.on_store(a.line());
-        }
         if bits & EP_FOOT != 0 {
             self.note_line(a.line());
         }
@@ -658,9 +646,6 @@ impl PmemPool {
             self.crash_ctl.tick();
         }
         let r = self.words[a.word()].compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst);
-        if r.is_ok() && bits & EP_FLUSHOPT != 0 {
-            self.flushopt.on_store(a.line());
-        }
         if r.is_ok() && bits & EP_FOOT != 0 {
             self.note_line(a.line());
         }
@@ -703,65 +688,14 @@ impl PmemPool {
         if bits & EP_MASK != 0 && !self.mask.site_enabled(site) {
             return;
         }
-        // The elision layer rules next, still before the yield and the
-        // tick: an elided/deferred/coalesced pwb executes nothing, so —
-        // exactly like a masked site — it is no yield point and no crash
-        // point, and it neither counts, traces, nor touches the shadow.
-        if bits & EP_FLUSHOPT != 0 {
-            match self.flushopt.pwb_decision(a.line(), site.0) {
-                FlushDecision::Execute { pre } => {
-                    self.pwb_execute(a, site, bits, Some(pre));
-                }
-                FlushDecision::Elide => {
-                    self.stats.count_pwb_elided(site);
-                    // Cross-check: the layer claims this line was flushed
-                    // since its last store. If the lint's independent
-                    // table says dirty, record the violation.
-                    if bits & EP_LINT != 0 {
-                        self.lint.on_elided_pwb(a.line(), site);
-                    }
-                }
-                FlushDecision::Coalesced => {
-                    // Folded into an already-buffered flush of the same
-                    // line: redundant by construction (no lint check —
-                    // the line is genuinely dirty, and the queued entry
-                    // covers it at the next fence).
-                    self.stats.count_pwb_elided(site);
-                }
-                FlushDecision::Deferred => {
-                    // Parked: the draining fence executes it (and counts
-                    // it) later. Nothing is recorded now.
-                }
-            }
-            return;
-        }
-        self.pwb_execute(a, site, bits, None);
-    }
-
-    /// The committed tail of a `pwb`: yield, crash tick, count, backend
-    /// flush, shadow snapshot, footprint, observers. Shared by the direct
-    /// path and the combining buffer's drain, so a drained flush is
-    /// indistinguishable — to the crash model, the trace and the lint —
-    /// from one executed in place. `fo_pre` carries the elision layer's
-    /// pre-read line word when that layer is live (`None` when flushopt is
-    /// off).
-    fn pwb_execute(&self, a: PAddr, site: SiteId, bits: u64, fo_pre: Option<u64>) {
-        // After the mask/elision checks — an invisible pwb is no yield
-        // point, exactly as it is no crash point — and before the tick, so
-        // the scheduler decides who runs the event an armed crash would
-        // land on. A crash here unwinds before `obligate`, leaving the
-        // layer's accounting consistent (the pwb never executed).
+        // After the mask check — a masked site is no yield point, exactly as
+        // it is no crash point — and before the tick, so the scheduler
+        // decides who runs the event an armed crash would land on.
         if bits & EP_SCHED != 0 {
             crate::sched::yield_now();
         }
         if bits & EP_CRASH != 0 {
             self.crash_ctl.tick();
-        }
-        // The commit obligation becomes visible *before* the shadow takes
-        // the pending snapshot, so a concurrently-elided fence in another
-        // thread can never slip between the two.
-        if fo_pre.is_some() {
-            self.flushopt.obligate();
         }
         self.stats.count_pwb(site);
         self.pwb_backend(a);
@@ -777,9 +711,6 @@ impl PmemPool {
         }
         if bits & (EP_TRACE | EP_LINT) != 0 {
             self.observe_pwb(a, site);
-        }
-        if let Some(pre) = fo_pre {
-            self.flushopt.note_real_pwb(a.line(), pre);
         }
     }
 
@@ -841,27 +772,6 @@ impl PmemPool {
         if bits & EP_MASK != 0 && !self.mask.psync_enabled() {
             return;
         }
-        if bits & EP_FLUSHOPT != 0 {
-            // Inside a coalescible region with globally nothing to commit
-            // — no buffered pwbs, no executed-but-unfenced ones — the
-            // fence is the identity and elides: no yield, no tick, no
-            // trace, only the coalesce counter. (Checked before the drain:
-            // a drain would create the very obligations that forbid
-            // elision.)
-            if self.flushopt.fence_elidable() {
-                self.stats.count_psync_coalesced();
-                return;
-            }
-            // A real fence first drains the combining buffer, executing
-            // every deferred pwb with full instrumentation, so the
-            // committed event stream keeps the store → pwb → fence shape
-            // every observer assumes.
-            for (line, site) in self.flushopt.take_deferred() {
-                let a = PAddr((line * WORDS_PER_LINE) as u64);
-                let pre = self.flushopt.line_word(line);
-                self.pwb_execute(a, SiteId(site), bits, Some(pre));
-            }
-        }
         if bits & EP_SCHED != 0 {
             crate::sched::yield_now();
         }
@@ -877,9 +787,6 @@ impl PmemPool {
             if let Some(sh) = &self.shadow {
                 sh.psync();
             }
-        }
-        if bits & EP_FLUSHOPT != 0 {
-            self.flushopt.on_fence();
         }
         if bits & (EP_TRACE | EP_LINT) != 0 {
             self.observe_fence(kind);
@@ -926,15 +833,8 @@ impl PmemPool {
     }
 
     /// Enables/disables `psync`/`pfence` (the paper's "no psyncs" variants,
-    /// Figures 3c/4c). Incompatible with the flush-elision layer: a masked
-    /// fence returns before draining the per-thread combining buffers, so
-    /// deferred flushes could linger forever.
+    /// Figures 3c/4c).
     pub fn set_psync_enabled(&self, on: bool) {
-        assert!(
-            on || !self.flushopt_enabled(),
-            "cannot mask psync while the flush-elision layer is armed: \
-             masked fences would never drain deferred pwbs"
-        );
         self.mask.set_psync(on);
         self.refresh_mask_epoch();
     }
@@ -971,43 +871,9 @@ impl PmemPool {
         self.set_epoch_bit(EP_SCHED, on);
     }
 
-    /// Arms or disarms the flush-elision layer (see [`crate::flushopt`]
-    /// and [`PoolCfg::flushopt`]). Arming **resets** the layer's state
-    /// first: stores made while it was off never reached its per-line
-    /// table, so any surviving "flushed" credential could elide a flush
-    /// the algorithm still needs. Disarming leaves buffered pwbs behind —
-    /// only toggle at a quiescent point where nothing is deferred (or
-    /// follow with a `psync` first). Refuses to arm while `psync` is
-    /// masked (see [`Self::set_psync_enabled`]).
-    pub fn set_flushopt_enabled(&self, on: bool) {
-        if on {
-            assert!(
-                self.mask.psync_enabled(),
-                "cannot arm the flush-elision layer while psync is masked: \
-                 masked fences would never drain deferred pwbs"
-            );
-            self.flushopt.reset();
-        }
-        self.set_epoch_bit(EP_FLUSHOPT, on);
-    }
-
-    /// Is the flush-elision layer currently armed?
-    pub fn flushopt_enabled(&self) -> bool {
-        self.epoch_bits(EP_FLUSHOPT) != 0
-    }
-
-    /// Marks the calling thread as inside a *fence-coalescible region*
-    /// until the returned guard drops: a `pfence`/`psync` issued while the
-    /// region is open **and** nothing is pending anywhere (no buffered
-    /// pwbs, no executed-but-unfenced ones) elides as
-    /// [`StatsSnapshot::psync_coalesced`]. Algorithms wrap fence-heavy
-    /// read phases — Capsules' traverse, Tracking's help-engine scans —
-    /// whose fences only re-commit already-durable lines. A no-op unless
-    /// the pool has flushopt armed; nesting is allowed.
-    pub fn coalesce_fences(&self) -> FenceRegionGuard<'_> {
-        self.flushopt.region_enter();
-        FenceRegionGuard { fo: &self.flushopt }
-    }
+    // Inert (no flush-elision layer exists); kept only for svcbench's ladder, its one caller.
+    #[doc(hidden)]
+    pub fn set_flushopt_enabled(&self, _on: bool) {}
 
     // ------------------------------------------------------------------
     // Observation: persistence-event trace + flush lint
@@ -1255,11 +1121,6 @@ impl PmemPool {
         if self.trace.enabled() || self.lint.enabled() {
             self.lint.on_crash(self.trace.next_seq());
         }
-        // Forget every elision credential and buffered flush: after
-        // resolution, volatile and persisted images agree, but recovery
-        // must re-earn its elisions and no pre-crash deferral survives
-        // (those pwbs are exactly the losses the adversary already chose).
-        self.flushopt.reset();
         // Crash resolution may have rewound free-list pushes/pops; rebuild
         // the volatile allocator accounting from the surviving lists.
         if self.reclaim {
@@ -1354,7 +1215,6 @@ impl PmemPool {
             trace_seq: self.trace.seq_checkpoint(),
             sites_mask: self.mask.mask(),
             psync_on: self.mask.psync_enabled(),
-            flushopt: self.flushopt.export_state(),
         }
     }
 
@@ -1438,11 +1298,6 @@ impl PmemPool {
         }
         self.trace.clear();
         self.trace.set_seq(snap.trace_seq);
-        // The elision layer is execution-affecting (unlike the lint, a
-        // pure observer), so its state is re-imported unconditionally: a
-        // replay from this checkpoint must make the same elide/defer
-        // decisions the original timeline did.
-        self.flushopt.import_state(&snap.flushopt);
         // Arm footprint tracking for the replay that follows. Seeding with
         // the snapshot's pending lines covers the one mutation a replay can
         // make without a recording slow path firing for that line: a psync
@@ -1463,20 +1318,6 @@ impl PmemPool {
         if self.reclaim {
             self.refresh_palloc_accounting();
         }
-    }
-}
-
-/// RAII guard of a fence-coalescible region (see
-/// [`PmemPool::coalesce_fences`]). Dropping it closes the region — also on
-/// unwind, so an injected [`crate::CrashPoint`] panic mid-region never
-/// leaves the thread marked coalescible into its recovery code.
-pub struct FenceRegionGuard<'a> {
-    fo: &'a FlushOpt,
-}
-
-impl Drop for FenceRegionGuard<'_> {
-    fn drop(&mut self) {
-        self.fo.region_exit();
     }
 }
 
@@ -1532,9 +1373,6 @@ pub struct PoolSnapshot {
     sites_mask: u64,
     /// `psync`/`pfence` enable flag at capture time.
     psync_on: bool,
-    /// Flush-elision layer state at capture time (line states, commit
-    /// obligations, buffered pwbs).
-    flushopt: FlushOptSnap,
 }
 
 impl PoolSnapshot {
@@ -1724,6 +1562,35 @@ mod tests {
         // not flushed => lost by a pessimist crash
         p.crash(&mut PessimistAdversary);
         assert_eq!(p.load(a), 0);
+    }
+
+    #[test]
+    fn flushopt_shims_are_inert() {
+        // The same script, with redundant and repeated flushes, on two
+        // traced pools: the shim must change neither what executes nor
+        // what is counted.
+        let run = |arm: bool| {
+            let p = PmemPool::new(PoolCfg {
+                trace: true,
+                ..PoolCfg::model(1 << 20)
+            });
+            p.set_flushopt_enabled(arm);
+            let [a, b] = [p.alloc_lines(1), p.alloc_lines(1)];
+            p.store(a, 1);
+            p.pwb(a, SiteId(1));
+            p.psync();
+            p.pwb(a, SiteId(1));
+            p.store(b, 2);
+            p.pwb(b, SiteId(2));
+            p.pwb(b, SiteId(2));
+            p.pfence();
+            (p.trace_snapshot().events, p.stats())
+        };
+        let (plain, armed) = (run(false), run(true));
+        assert_eq!(plain.0.len(), 8);
+        assert_eq!(plain, armed);
+        assert_eq!(armed.1.pwb_total(), 4);
+        assert_eq!(armed.1.pwb_elided_total(), 0);
     }
 
     #[test]

@@ -36,24 +36,16 @@ const N_SHARDS: usize = 16;
 #[repr(align(64))]
 struct Shard {
     pwb_per_site: [AtomicU64; MAX_SITES],
-    /// `pwb`s the flush-elision layer turned into no-ops, per site (an
-    /// elided pwb is *not* counted in `pwb_per_site` — that array keeps
-    /// meaning "executed").
-    pwb_elided_per_site: [AtomicU64; MAX_SITES],
     psync: AtomicU64,
     pfence: AtomicU64,
-    /// Fences elided inside a coalescible region ([`crate::flushopt`]).
-    psync_coalesced: AtomicU64,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
             pwb_per_site: std::array::from_fn(|_| AtomicU64::new(0)),
-            pwb_elided_per_site: std::array::from_fn(|_| AtomicU64::new(0)),
             psync: AtomicU64::new(0),
             pfence: AtomicU64::new(0),
-            psync_coalesced: AtomicU64::new(0),
         }
     }
 }
@@ -93,28 +85,6 @@ impl Stats {
     }
 
     #[inline]
-    pub(crate) fn count_pwb_elided(&self, s: SiteId) {
-        match self.shards.get(trace_tid()) {
-            Some(sh) => bump(&sh.pwb_elided_per_site[s.idx()]),
-            None => {
-                self.overflow.pwb_elided_per_site[s.idx()].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn count_psync_coalesced(&self) {
-        match self.shards.get(trace_tid()) {
-            Some(sh) => bump(&sh.psync_coalesced),
-            None => {
-                self.overflow
-                    .psync_coalesced
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    #[inline]
     pub(crate) fn count_psync(&self) {
         match self.shards.get(trace_tid()) {
             Some(sh) => bump(&sh.psync),
@@ -137,21 +107,15 @@ impl Stats {
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let mut snap = StatsSnapshot {
             pwb_per_site: [0; MAX_SITES],
-            pwb_elided_per_site: [0; MAX_SITES],
             psync: 0,
             pfence: 0,
-            psync_coalesced: 0,
         };
         for sh in self.shards.iter().chain(std::iter::once(&self.overflow)) {
             for (i, c) in sh.pwb_per_site.iter().enumerate() {
                 snap.pwb_per_site[i] += c.load(Ordering::Relaxed);
             }
-            for (i, c) in sh.pwb_elided_per_site.iter().enumerate() {
-                snap.pwb_elided_per_site[i] += c.load(Ordering::Relaxed);
-            }
             snap.psync += sh.psync.load(Ordering::Relaxed);
             snap.pfence += sh.pfence.load(Ordering::Relaxed);
-            snap.psync_coalesced += sh.psync_coalesced.load(Ordering::Relaxed);
         }
         snap
     }
@@ -161,30 +125,21 @@ impl Stats {
             for c in &sh.pwb_per_site {
                 c.store(0, Ordering::Relaxed);
             }
-            for c in &sh.pwb_elided_per_site {
-                c.store(0, Ordering::Relaxed);
-            }
             sh.psync.store(0, Ordering::Relaxed);
             sh.pfence.store(0, Ordering::Relaxed);
-            sh.psync_coalesced.store(0, Ordering::Relaxed);
         }
     }
 }
 
 /// A point-in-time copy of a pool's persistence-instruction counters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Executed `pwb`s per call site.
     pub pwb_per_site: [u64; MAX_SITES],
-    /// `pwb`s elided by the flush-elision layer, per call site (issued by
-    /// the algorithm but proven redundant — see [`crate::flushopt`]).
-    pub pwb_elided_per_site: [u64; MAX_SITES],
     /// Executed `psync`s.
     pub psync: u64,
     /// Executed `pfence`s.
     pub pfence: u64,
-    /// `psync`/`pfence` calls elided inside fence-coalescible regions.
-    pub psync_coalesced: u64,
 }
 
 impl StatsSnapshot {
@@ -193,9 +148,10 @@ impl StatsSnapshot {
         self.pwb_per_site.iter().sum()
     }
 
-    /// Total elided `pwb`s across all sites.
+    // Always 0 (no flush-elision layer exists); kept only for svcbench's report, its one caller.
+    #[doc(hidden)]
     pub fn pwb_elided_total(&self) -> u64 {
-        self.pwb_elided_per_site.iter().sum()
+        0
     }
 
     /// Counter deltas `self - earlier` (for bracketing a benchmark window).
@@ -204,12 +160,8 @@ impl StatsSnapshot {
             pwb_per_site: std::array::from_fn(|i| {
                 self.pwb_per_site[i].saturating_sub(earlier.pwb_per_site[i])
             }),
-            pwb_elided_per_site: std::array::from_fn(|i| {
-                self.pwb_elided_per_site[i].saturating_sub(earlier.pwb_elided_per_site[i])
-            }),
             psync: self.psync.saturating_sub(earlier.psync),
             pfence: self.pfence.saturating_sub(earlier.pfence),
-            psync_coalesced: self.psync_coalesced.saturating_sub(earlier.psync_coalesced),
         }
     }
 

@@ -167,9 +167,8 @@ thread_local! {
 /// `uid`: the `tid` of the [`crate::ThreadCtx`] it most recently built for
 /// that pool, or 0 if it built none. Unlike [`trace_tid`] it depends only
 /// on what the thread itself did, never on how many other threads of the
-/// process touched a pool first. The lint's diagnostics and the
-/// flush-elision slots key by it too, so both stay independent of process
-/// history.
+/// process touched a pool first. The lint's diagnostics key by it too, so
+/// they stay independent of process history.
 pub(crate) fn logical_tid(uid: u64) -> usize {
     match LOGICAL_TID.get() {
         (bound, tid) if bound == uid => tid,
@@ -179,8 +178,8 @@ pub(crate) fn logical_tid(uid: u64) -> usize {
 
 /// Process-wide small dense integer identifying the calling thread.
 /// Assigned on first use, stable for the thread's lifetime. It claims trace
-/// rings and indexes the `Stats` shards; it is *not* what trace events, lint
-/// diagnostics or flush-elision slots use (that is the pool-local
+/// rings and indexes the `Stats` shards; it is *not* what trace events or
+/// lint diagnostics use (that is the pool-local
 /// [`logical_tid`]), because its value depends on the order in which the
 /// process's threads first touched any pool.
 pub(crate) fn trace_tid() -> usize {

@@ -244,10 +244,6 @@ impl RecoverableHashMap {
     /// The list `Search` scoped to one bucket chain.
     fn search_from(&self, head: PAddr, key: u64) -> SearchRes {
         let pool = &*self.pool;
-        // Fence-coalescing region over the bucket traversal (see
-        // `pmem::flushopt`): helper re-flushes of already-clean chain lines
-        // may elide here.
-        let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
         let mut pred = PAddr::NULL;
         let mut pred_info = 0;
         let mut curr = head;

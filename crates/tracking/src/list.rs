@@ -155,11 +155,6 @@ impl RecoverableList {
     /// `curr` is the first node with `key' >= key`; `pred` its predecessor.
     fn search(&self, key: u64) -> SearchRes {
         let pool = &*self.pool;
-        // Fence-coalescing region for the `traversal_flush` ablation: on a
-        // `pmem::PoolCfg::flushopt` pool the per-node `pwb; pfence` pairs
-        // elide once the traversed lines are clean. Pure permission — a
-        // fence with pending flush work still executes (see `pmem::flushopt`).
-        let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
         let mut pred = PAddr::NULL;
         let mut pred_info = 0;
         let mut curr = self.head;

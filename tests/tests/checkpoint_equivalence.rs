@@ -16,7 +16,7 @@ use bench::sweep::{run_palloc_sweep, run_sweep, AdversaryKind, SweepCfg};
 use bench::{AlgoKind, StructureKind};
 
 fn assert_engines_equivalent(structure: StructureKind, algo: AlgoKind, adversary: AdversaryKind) {
-    assert_engines_equivalent_cfg(structure, algo, adversary, false, false)
+    assert_engines_equivalent_reclaim(structure, algo, adversary, false)
 }
 
 fn assert_engines_equivalent_reclaim(
@@ -25,16 +25,6 @@ fn assert_engines_equivalent_reclaim(
     adversary: AdversaryKind,
     reclaim: bool,
 ) {
-    assert_engines_equivalent_cfg(structure, algo, adversary, reclaim, false)
-}
-
-fn assert_engines_equivalent_cfg(
-    structure: StructureKind,
-    algo: AlgoKind,
-    adversary: AdversaryKind,
-    reclaim: bool,
-    flushopt: bool,
-) {
     let mut cfg = SweepCfg::new(structure, algo);
     cfg.script_len = 5;
     cfg.pool_bytes = 4 << 20;
@@ -42,7 +32,6 @@ fn assert_engines_equivalent_cfg(
     cfg.checkpoint = true;
     cfg.paranoia = 1.0;
     cfg.reclaim = reclaim;
-    cfg.flushopt = flushopt;
     let ck = run_sweep(&cfg);
     assert!(
         ck.ok(),
@@ -129,19 +118,6 @@ fn churn_hashmap_checkpoint_engine_is_equivalent() {
     );
 }
 
-/// Hashmap with the flush-elision layer armed (the bucket traversal is a
-/// coalescible region, so the elided event space differs most here).
-#[test]
-fn hashmap_checkpoint_engine_is_equivalent_with_flushopt() {
-    assert_engines_equivalent_cfg(
-        StructureKind::Hashmap,
-        AlgoKind::Tracking,
-        AdversaryKind::Pessimist,
-        false,
-        true,
-    );
-}
-
 /// Allocator-churn list on a reclaim pool: deletes retire nodes into
 /// limbo, op boundaries drain it, and every verdict audits the free
 /// lists — so the allocator's instrumented events join the sweep's event
@@ -154,63 +130,6 @@ fn churn_list_checkpoint_engine_is_equivalent() {
         StructureKind::List,
         AlgoKind::Tracking,
         AdversaryKind::Seeded,
-        true,
-    );
-}
-
-/// With the flush-elision layer armed, the checkpointed engine must still
-/// match the from-scratch engine point for point: a checkpoint restore now
-/// additionally re-imports the layer's per-line flush-state table and
-/// combining buffer, and a stale entry in either (claiming a line clean
-/// that the volatile image re-dirtied, or dropping a deferred flush) would
-/// diverge the event streams or the verdicts under `paranoia = 1.0`.
-/// One test per structure family the classic matrix covers.
-#[test]
-fn list_checkpoint_engine_is_equivalent_with_flushopt() {
-    assert_engines_equivalent_cfg(
-        StructureKind::List,
-        AlgoKind::Tracking,
-        AdversaryKind::Seeded,
-        false,
-        true,
-    );
-}
-
-/// Capsules' Full-persist list is the heaviest elision user (the traverse
-/// region): the strongest exercise of drained-at-fence flushes inside the
-/// incremental restore path.
-#[test]
-fn capsules_checkpoint_engine_is_equivalent_with_flushopt() {
-    assert_engines_equivalent_cfg(
-        StructureKind::List,
-        AlgoKind::Capsules,
-        AdversaryKind::Pessimist,
-        false,
-        true,
-    );
-}
-
-/// Queue family with the layer on, pessimist adversary.
-#[test]
-fn queue_checkpoint_engine_is_equivalent_with_flushopt() {
-    assert_engines_equivalent_cfg(
-        StructureKind::Queue,
-        AlgoKind::Tracking,
-        AdversaryKind::Pessimist,
-        false,
-        true,
-    );
-}
-
-/// Exchanger family with the layer on (sparsest checkpoints, deepest
-/// per-op streams).
-#[test]
-fn exchanger_checkpoint_engine_is_equivalent_with_flushopt() {
-    assert_engines_equivalent_cfg(
-        StructureKind::Exchanger,
-        AlgoKind::Tracking,
-        AdversaryKind::Pessimist,
-        false,
         true,
     );
 }

@@ -157,13 +157,11 @@ fn stream_hash(snap: &pmem::TraceSnapshot) -> u64 {
 }
 
 /// Runs the pinned deterministic single-thread scripted workload against a
-/// traced Model pool and returns the stream hash. `flushopt` selects the
-/// elision layer; `false` must reproduce the PR 8 streams bit-for-bit.
-fn pinned_stream(algo: AlgoKind, flushopt: bool) -> u64 {
+/// traced Model pool and returns the stream hash.
+fn pinned_stream(algo: AlgoKind) -> u64 {
     use pmem::{PmemPool, PoolCfg, ThreadCtx};
     let pool = std::sync::Arc::new(PmemPool::new(PoolCfg {
         trace: true,
-        flushopt,
         ..PoolCfg::model(16 << 20)
     }));
     let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -189,24 +187,23 @@ fn pinned_stream(algo: AlgoKind, flushopt: bool) -> u64 {
     stream_hash(&pool.trace_snapshot())
 }
 
-/// The flushopt-off event streams are bit-identical to PR 8: with the
-/// elision layer disabled (the default), every store/pwb/fence takes
-/// exactly the code path it took before `pmem::flushopt` existed, pinned
-/// here as a content hash over the full trace of a scripted Tracking run
-/// and a scripted Capsules (Full-persist) run. If either hash moves, the
-/// flushopt-off path is no longer a bystander — that is a regression, not
-/// a pin to update lightly.
+/// The event streams are bit-identical to PR 8: every store/pwb/fence
+/// takes exactly the code path it took then, pinned here as a content hash
+/// over the full trace of a scripted Tracking run and a scripted Capsules
+/// (Full-persist) run. If either hash moves, the instructions the
+/// algorithms execute changed — that is a regression, not a pin to update
+/// lightly.
 #[test]
-fn flushopt_off_streams_are_bit_identical_to_pr8() {
+fn streams_are_bit_identical_to_pr8() {
     assert_eq!(
-        pinned_stream(AlgoKind::Tracking, false),
+        pinned_stream(AlgoKind::Tracking),
         TRACKING_PR8_STREAM_HASH,
-        "Tracking flushopt-off stream diverged from PR 8"
+        "Tracking stream diverged from PR 8"
     );
     assert_eq!(
-        pinned_stream(AlgoKind::Capsules, false),
+        pinned_stream(AlgoKind::Capsules),
         CAPSULES_PR8_STREAM_HASH,
-        "Capsules flushopt-off stream diverged from PR 8"
+        "Capsules stream diverged from PR 8"
     );
 }
 
@@ -216,7 +213,7 @@ fn flushopt_off_streams_are_bit_identical_to_pr8() {
 /// hashes to the pin.
 #[test]
 fn stream_pin_ignores_earlier_tracing_threads() {
-    let hash = on_fresh_thread_after_other_tracers(|| pinned_stream(AlgoKind::Tracking, false));
+    let hash = on_fresh_thread_after_other_tracers(|| pinned_stream(AlgoKind::Tracking));
     assert_eq!(hash, TRACKING_PR8_STREAM_HASH);
 }
 
@@ -239,52 +236,6 @@ fn on_fresh_thread_after_other_tracers<R: Send + 'static>(
     .join()
     .unwrap();
     std::thread::spawn(f).join().unwrap()
-}
-
-/// The flush-elision layer drains deferred `pwb`s slot by slot, and slots
-/// are keyed by the logical thread id: when logical thread 1 defers before
-/// logical thread 0, the drain still runs thread 0's flush first, whatever
-/// OS threads the process ran before them.
-#[test]
-fn deferred_pwbs_drain_in_logical_id_order() {
-    use pmem::{EventKind, PmemPool, PoolCfg, SiteId, ThreadCtx};
-    use std::sync::Arc;
-    let order = on_fresh_thread_after_other_tracers(|| {
-        let pool = Arc::new(PmemPool::new(PoolCfg {
-            trace: true,
-            flushopt: true,
-            ..PoolCfg::model(1 << 20)
-        }));
-        let lines = [pool.alloc_lines(1), pool.alloc_lines(1)];
-        // Thread 1 defers first; thread 0 defers second and fences.
-        for tid in [1, 0] {
-            let pool = pool.clone();
-            std::thread::spawn(move || {
-                let _ctx = ThreadCtx::new(pool.clone(), tid);
-                pool.store(lines[tid], 1);
-                pool.pwb(lines[tid], SiteId(1));
-                if tid == 0 {
-                    pool.psync();
-                }
-            })
-            .join()
-            .unwrap();
-        }
-        let drained: Vec<u64> = pool
-            .trace_snapshot()
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Pwb)
-            .map(|e| e.addr)
-            .collect();
-        (drained, lines.map(|a| a.raw()))
-    });
-    let (drained, [line0, line1]) = order;
-    assert_eq!(
-        drained,
-        vec![line0, line1],
-        "drain order follows process history"
-    );
 }
 
 /// Lint diagnostics name the logical thread, as trace events do.
@@ -312,33 +263,31 @@ fn lint_diagnostics_name_the_logical_thread() {
     }
 }
 
-/// The committed flush-elision explorer matrices whose random schedules
-/// drain several threads' deferred `pwb`s regenerate byte-identically on a
-/// thread that starts after other tracers, so their drain order follows
-/// the workers' logical ids and not the process's thread history.
+/// Committed explorer matrices regenerate byte-identically on a thread
+/// that starts after other tracers: what they record follows the workers'
+/// logical ids, not the process's thread history.
 #[test]
-fn flushopt_explore_matrices_ignore_earlier_tracing_threads() {
+fn explore_matrices_ignore_earlier_tracing_threads() {
     use bench::explore::{run_explore, ExploreCfg};
     let csvs = on_fresh_thread_after_other_tracers(|| {
         let mut list = ExploreCfg::new(StructureKind::List, AlgoKind::Tracking);
         list.threads = 4;
         let mut map = ExploreCfg::new(StructureKind::Hashmap, AlgoKind::Tracking);
         map.ops_per_thread = 12;
-        [list, map].map(|mut cfg| {
-            cfg.flushopt = true;
+        [list, map].map(|cfg| {
             let report = run_explore(&cfg);
             assert!(report.ok(), "violations: {:?}", report.violations);
-            let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flushopt-explore");
+            let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("explore-rerun");
             std::fs::read_to_string(report.csv.write(&dir).unwrap()).unwrap()
         })
     });
     assert_eq!(
         csvs[0],
-        include_str!("../../results/explore-flushopt/explore_list_tracking_t4.csv")
+        include_str!("../../results/explore/explore_list_tracking_t4.csv")
     );
     assert_eq!(
         csvs[1],
-        include_str!("../../results/explore-flushopt/explore_hashmap_tracking_t2.csv")
+        include_str!("../../results/explore/explore_hashmap_tracking_t2.csv")
     );
 }
 
